@@ -67,7 +67,7 @@ let () =
       Printf.printf "  b=%4d bits: recovered %d/%d hidden edges, maximal=%b (max msg=%d bits)\n"
         budget hit (List.length surviving)
         (Dgraph.Matching.is_maximal dmm.Core.Hard_dist.graph output)
-        msg_stats.Sketchmodel.Model.max_bits)
+        msg_stats.Sketchmodel.Rounds.max_bits)
     [ 8; 32; 128; 512 ]);
 
   print_endline

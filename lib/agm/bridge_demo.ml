@@ -6,7 +6,7 @@ module Reader = Stdx.Bitbuf.Reader
 
 type result = {
   bridge : Graph.edge option;
-  stats : Model.stats;
+  stats : Sketchmodel.Rounds.stats;
   partition_found : bool;
 }
 

@@ -64,24 +64,19 @@ type 'a protocol = {
   referee : sketches:Stdx.Bitbuf.Reader.t array -> Sketchmodel.Public_coins.t -> 'a;
 }
 
+(* Player [i]'s view is its index and the values of its coordinates; the
+   game runs through the sketching model's engine, so its cost is
+   accounted exactly as every protocol's. *)
 let run s protocol ~input coins =
   if Array.length input <> s.coordinates then invalid_arg "Simultaneous.run: input length";
-  let writers =
-    Array.init s.players (fun i ->
-        let visible = Array.of_list (List.map (fun c -> input.(c)) (s.view i)) in
-        protocol.player i visible coins)
+  let views =
+    Array.init s.players (fun i -> (i, Array.of_list (List.map (fun c -> input.(c)) (s.view i))))
   in
-  let sizes = Array.map Stdx.Bitbuf.Writer.length_bits writers in
-  let sketches = Array.map Stdx.Bitbuf.Reader.of_writer writers in
-  let out = protocol.referee ~sketches coins in
-  let total = Array.fold_left ( + ) 0 sizes in
-  ( out,
-    {
-      Sketchmodel.Model.max_bits = Array.fold_left max 0 sizes;
-      total_bits = total;
-      avg_bits = float_of_int total /. float_of_int s.players;
-      players = s.players;
-    } )
+  Sketchmodel.Rounds.run_views
+    (Sketchmodel.Rounds.one_round ~name:protocol.name
+       ~player:(fun (i, visible) coins -> protocol.player i visible coins)
+       ~referee:(fun ~n:_ ~sketches coins -> protocol.referee ~sketches coins))
+    ~n:s.players views coins
 
 let equality_structure ~bits =
   {

@@ -58,7 +58,9 @@ val run :
   'a protocol ->
   input:bool array ->
   Sketchmodel.Public_coins.t ->
-  'a * Sketchmodel.Model.stats
+  'a * Sketchmodel.Rounds.stats
+(** One simultaneous round through {!Sketchmodel.Rounds.run_views}, with
+    one player per board seat. *)
 
 val equality_two_party : bits:int -> reps:int -> bool protocol
 (** The classic public-coin simultaneous EQUALITY protocol on the 2-player

@@ -26,7 +26,7 @@ let compute ~ms ~trials ~seed =
       let mm, stats = Protocols.Bcc_mm.run g coins in
       (* Apples to apples: the BCC bandwidth measure is bits per round, so
          the one-round comparison gets exactly that per-player budget. *)
-      let budget = stats.Sketchmodel.Bcc.max_bits_per_round in
+      let budget = Sketchmodel.Rounds.max_bits_per_round stats in
       let successes = ref 0 in
       for i = 1 to trials do
         let one_round =
@@ -40,9 +40,9 @@ let compute ~ms ~trials ~seed =
       done;
       {
         bn = dmm.Hard_dist.n;
-        bcc_rounds = stats.Sketchmodel.Bcc.rounds_used;
-        bcc_bits_per_round = stats.Sketchmodel.Bcc.max_bits_per_round;
-        bcc_total_bits = stats.Sketchmodel.Bcc.max_bits_total;
+        bcc_rounds = stats.Sketchmodel.Rounds.rounds;
+        bcc_bits_per_round = Sketchmodel.Rounds.max_bits_per_round stats;
+        bcc_total_bits = stats.Sketchmodel.Rounds.max_bits;
         bcc_maximal = Dgraph.Matching.is_maximal g mm;
         one_round_same_budget_maximal = float_of_int !successes /. float_of_int trials;
       })

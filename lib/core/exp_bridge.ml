@@ -22,7 +22,12 @@ let compute ~halves ~samples ~trials ~seed =
             Agm.Bridge_demo.run g ~samples_per_vertex:s
               (Public_coins.create (Stdx.Hashing.mix64 (seed * 3 + half)))
           in
-          { half; samples_per_vertex = s; max_bits = result.Agm.Bridge_demo.stats.Model.max_bits; success })
+          {
+            half;
+            samples_per_vertex = s;
+            max_bits = result.Agm.Bridge_demo.stats.Sketchmodel.Rounds.max_bits;
+            success;
+          })
         samples)
     halves
 

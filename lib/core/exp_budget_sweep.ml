@@ -133,7 +133,7 @@ let compute ?jobs ~m ?k ~budgets ~trials ~seed () =
       Stdx.Parallel.map ?jobs
         (fun (dmm, coins) ->
           let output, stats = Model.run (oracle_protocol dmm) dmm.Hard_dist.graph coins in
-          (stats.Model.max_bits, relaxed_ok dmm output))
+          (stats.Sketchmodel.Rounds.max_bits, relaxed_ok dmm output))
         instances
     in
     let hits = ref 0 in

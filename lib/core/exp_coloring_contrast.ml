@@ -30,9 +30,11 @@ let compute ~ns ~seed =
         cn = n;
         delta;
         list_size = int_of_float (ceil (4. *. log (float_of_int (n + 1)))) + 4;
-        palette_bits = stats.Model.max_bits;
-        full_bits = trivial_stats.Model.max_bits;
-        ratio = float_of_int stats.Model.max_bits /. float_of_int trivial_stats.Model.max_bits;
+        palette_bits = stats.Sketchmodel.Rounds.max_bits;
+        full_bits = trivial_stats.Sketchmodel.Rounds.max_bits;
+        ratio =
+          float_of_int stats.Sketchmodel.Rounds.max_bits
+          /. float_of_int trivial_stats.Sketchmodel.Rounds.max_bits;
         proper =
           (match outcome.Coloring.Palette.coloring with
           | Some colors ->

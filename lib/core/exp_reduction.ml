@@ -44,7 +44,8 @@ let compute ~ms ~samples ~seed =
              /. float_of_int (max 1 verdict.Reduction.output_size));
         ratio :=
           !ratio
-          +. (float_of_int g_stats.Model.max_bits /. float_of_int h_stats.Model.max_bits);
+          +. float_of_int g_stats.Sketchmodel.Rounds.max_bits
+             /. float_of_int h_stats.Sketchmodel.Rounds.max_bits;
         (* min-rule ablation on a referee-side exact MIS *)
         let mis = solver (Reduction.build_h dmm) in
         let mn =

@@ -36,16 +36,16 @@ let compute ~ns ~seed =
       let mis2, mis2_stats = Protocols.Two_round_mis.run g coins in
       {
         n;
-        agm_forest_bits = agm_stats.Model.max_bits;
+        agm_forest_bits = agm_stats.Sketchmodel.Rounds.max_bits;
         agm_ok = Dgraph.Components.is_spanning_forest g forest;
-        coloring_bits = color_stats.Model.max_bits;
+        coloring_bits = color_stats.Sketchmodel.Rounds.max_bits;
         coloring_ok =
           (match color_outcome.Coloring.Palette.coloring with
           | Some colors ->
               Array.length colors = n
               && Graph.fold_edges (fun u v acc -> acc && colors.(u) <> colors.(v)) g true
           | None -> false);
-        trivial_mm_bits = trivial_stats.Model.max_bits;
+        trivial_mm_bits = trivial_stats.Sketchmodel.Rounds.max_bits;
         two_round_mm_bits = mm2_stats.Sketchmodel.Rounds.max_bits;
         two_round_mm_ok = Dgraph.Matching.is_maximal g mm2;
         two_round_mis_bits = mis2_stats.Sketchmodel.Rounds.max_bits;

@@ -96,23 +96,20 @@ let run_with_solver dmm solver = check dmm (solver (build_h dmm))
 
 let end_to_end_cost dmm protocol coins =
   let h = build_h dmm in
-  let n2 = Graph.n h in
-  let h_views = Model.views h in
-  let writers = Array.map (fun view -> protocol.Model.player view coins) h_views in
-  let sizes = Array.map Stdx.Bitbuf.Writer.length_bits writers in
-  let sketches = Array.map Stdx.Bitbuf.Reader.of_writer writers in
-  let mis = protocol.Model.referee ~n:n2 ~sketches coins in
+  let sizes = Array.make (Graph.n h) 0 in
+  let sized =
+    {
+      protocol with
+      Model.player =
+        (fun view coins ->
+          let w = protocol.Model.player view coins in
+          sizes.(view.Model.vertex) <- Stdx.Bitbuf.Writer.length_bits w;
+          w);
+    }
+  in
+  let mis, h_stats = Model.run sized h coins in
   let n = dmm.Hard_dist.n in
   (* Each G-player u simulates both u_l and u_r; its message is the
      concatenation of the two H-messages. *)
   let g_player_bits = Array.init n (fun u -> sizes.(u) + sizes.(n + u)) in
-  let stats_of arr players =
-    let total = Array.fold_left ( + ) 0 arr in
-    {
-      Model.max_bits = Array.fold_left max 0 arr;
-      total_bits = total;
-      avg_bits = float_of_int total /. float_of_int players;
-      players;
-    }
-  in
-  (check dmm mis, stats_of g_player_bits n, stats_of sizes n2)
+  (check dmm mis, Sketchmodel.Rounds.of_player_bits g_player_bits, h_stats)

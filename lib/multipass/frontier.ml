@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader
@@ -102,4 +103,4 @@ let protocol ~rounds ~n =
   }
 
 let run ?(rounds = 2) g coins =
-  Rounds.run (protocol ~rounds ~n:(Dgraph.Graph.n g)) g coins
+  Model.run_rounds (protocol ~rounds ~n:(Dgraph.Graph.n g)) g coins

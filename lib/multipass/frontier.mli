@@ -27,7 +27,8 @@ val blocks : n:int -> rounds:int -> int array
 (** [blocks ~n ~rounds] is the r monotone prefix cutoffs
     s_t = ⌈n^(t/r)⌉ with the last forced to n. *)
 
-val protocol : rounds:int -> n:int -> (state, Dgraph.Mis.t) Rounds.protocol
+val protocol :
+  rounds:int -> n:int -> (Sketchmodel.Model.view, state, Dgraph.Mis.t) Sketchmodel.Rounds.protocol
 (** The r-round protocol; [rounds >= 1]. The output lists MIS members in
     joining (permutation) order. *)
 
@@ -35,5 +36,5 @@ val run :
   ?rounds:int ->
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Mis.t * Rounds.stats
+  Dgraph.Mis.t * Sketchmodel.Rounds.stats
 (** Run on a graph (default [rounds = 2]). *)

@@ -1,4 +1,5 @@
 module Model = Sketchmodel.Model
+module Rounds = Sketchmodel.Rounds
 module Public_coins = Sketchmodel.Public_coins
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader
@@ -119,4 +120,4 @@ let protocol kind ~n =
         w);
   }
 
-let run kind g coins = Rounds.run (protocol kind ~n:(Dgraph.Graph.n g)) g coins
+let run kind g coins = Model.run_rounds (protocol kind ~n:(Dgraph.Graph.n g)) g coins

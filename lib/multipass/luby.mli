@@ -34,7 +34,8 @@ type state = {
   blocked : bool array;
 }
 
-val protocol : priority -> n:int -> (state, Dgraph.Mis.t) Rounds.protocol
+val protocol :
+  priority -> n:int -> (Sketchmodel.Model.view, state, Dgraph.Mis.t) Sketchmodel.Rounds.protocol
 (** The r-round protocol; [n >= 0]. The output lists MIS members in
     ascending vertex order. *)
 
@@ -42,4 +43,4 @@ val run :
   priority ->
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Mis.t * Rounds.stats
+  Dgraph.Mis.t * Sketchmodel.Rounds.stats

@@ -16,7 +16,7 @@ val protocol : n:int -> Dgraph.Matching.t Sketchmodel.Bcc.protocol
 val run :
   Dgraph.Graph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Matching.t * Sketchmodel.Bcc.stats
+  Dgraph.Matching.t * Sketchmodel.Rounds.stats
 
 val rounds_for : int -> int
 (** The round budget used for an [n]-vertex graph. *)

@@ -1,4 +1,5 @@
 module Public_coins = Sketchmodel.Public_coins
+module Rounds = Sketchmodel.Rounds
 module H = Dgraph.Hypergraph
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader
@@ -15,24 +16,20 @@ let beats coins ~label u v =
    edge. On 2-uniform hypergraphs this is exactly the graph local-minima
    protocol (not-max in every pair = min among neighbours). *)
 let local_minima =
-  {
-    Hyper_views.name = "hyper-local-minima-mis";
-    player =
-      (fun view coins ->
+  Rounds.one_round ~name:"hyper-local-minima-mis"
+    ~player:(fun (view : Hyper_views.view) coins ->
         let w = Writer.create () in
         let v = view.Hyper_views.vertex in
         let is_max pins =
           Array.for_all (fun u -> u = v || beats coins ~label:"hmis-priority" v u) pins
         in
         Writer.bit w (not (Array.exists is_max view.Hyper_views.edges));
-        w);
-    referee =
-      (fun ~n ~sketches _coins ->
+        w)
+    ~referee:(fun ~n ~sketches _coins ->
         ignore n;
         let out = ref [] in
         Array.iteri (fun v r -> if Reader.bit r then out := v :: !out) sketches;
-        List.rev !out);
-  }
+        List.rev !out)
 
 type state = { chosen : bool array; blocked : bool array }
 
@@ -49,14 +46,20 @@ type state = { chosen : bool array; blocked : bool array }
    is ever completed — even with simultaneous joins. The globally
    minimum-priority active vertex always either joins or blocks, so the
    active set shrinks every round and termination (all vertices chosen
-   or blocked = maximality) needs at most n rounds. *)
+   or blocked = maximality) needs at most n rounds. Once no vertex is
+   active the referee announces the final bitmaps and stops.
+
+   Priority labels number rounds from 0 (round 1 draws from
+   [hmis-luby-r0]): the labels fix the public-coin priorities, and so
+   the protocol's output. *)
 let luby ~n =
-  let round_label round = Printf.sprintf "hmis-luby-r%d" round in
+  let round_label round = Printf.sprintf "hmis-luby-r%d" (round - 1) in
   {
-    Hyper_views.name = "hyper-luby-mis";
-    rounds_limit = (4 * (n + 2));
+    Rounds.name = "hyper-luby-mis";
+    max_rounds = 4 * (n + 2);
+    init = (fun ~n _coins -> { chosen = Array.make n false; blocked = Array.make n false });
     player =
-      (fun ~round view state coins ->
+      (fun ~round (view : Hyper_views.view) state coins ->
         let w = Writer.create () in
         let v = view.Hyper_views.vertex in
         if not (state.chosen.(v) || state.blocked.(v)) then begin
@@ -83,7 +86,7 @@ let luby ~n =
           Writer.bit w blocked_now
         end;
         w);
-    step =
+    referee =
       (fun ~round:_ ~n ~state ~sketches _coins ->
         let chosen = Array.copy state.chosen and blocked = Array.copy state.blocked in
         Array.iteri
@@ -99,7 +102,15 @@ let luby ~n =
         for v = 0 to n - 1 do
           if not (chosen.(v) || blocked.(v)) then active := true
         done;
-        ({ chosen; blocked }, !active));
+        let next = { chosen; blocked } in
+        if !active then Rounds.Continue next
+        else begin
+          let out = ref [] in
+          for v = n - 1 downto 0 do
+            if chosen.(v) then out := v :: !out
+          done;
+          Rounds.Announce (next, !out)
+        end);
     encode_broadcast =
       (fun state ->
         let w = Writer.create () in
@@ -108,14 +119,7 @@ let luby ~n =
         w);
   }
 
-let run_local_minima h coins = Hyper_views.run local_minima h coins
+let run_local_minima h coins =
+  Rounds.run_views local_minima ~n:(H.n h) (Hyper_views.views h) coins
 
-let run_luby h coins =
-  let n = H.n h in
-  let init = { chosen = Array.make n false; blocked = Array.make n false } in
-  let state, stats = Hyper_views.run_multi (luby ~n) h ~init coins in
-  let out = ref [] in
-  for v = n - 1 downto 0 do
-    if state.chosen.(v) then out := v :: !out
-  done;
-  (!out, stats)
+let run_luby h coins = Rounds.run_views (luby ~n:(H.n h)) ~n:(H.n h) (Hyper_views.views h) coins

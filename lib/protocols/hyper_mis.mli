@@ -1,4 +1,5 @@
-(** Hypergraph MIS protocols (weak independence) over {!Hyper_views}.
+(** Hypergraph MIS protocols (weak independence) over {!Hyper_views}
+    player views, run by {!Sketchmodel.Rounds}.
 
     {b Local minima (one-shot).} Public coins give every vertex a
     priority; weak independence only needs the top-priority pin of every
@@ -16,24 +17,24 @@
     minimum-priority active vertex always joins or blocks, so the
     protocol reaches a maximal independent set in at most [n] rounds. *)
 
-val local_minima : Dgraph.Hmis.t Hyper_views.protocol
+val local_minima : (Hyper_views.view, unit, Dgraph.Hmis.t) Sketchmodel.Rounds.protocol
 (** One bit per player; output independent, rarely maximal. *)
 
 (** Broadcast state of {!luby}: chosen and blocked vertex bitmaps. *)
 type state = { chosen : bool array; blocked : bool array }
 
-val luby : n:int -> state Hyper_views.multi
+val luby : n:int -> (Hyper_views.view, state, Dgraph.Hmis.t) Sketchmodel.Rounds.protocol
 (** The Luby-style multi-round protocol for an [n]-vertex hypergraph. *)
 
 val run_local_minima :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Hmis.t * Sketchmodel.Model.stats
-(** {!Hyper_views.run} of {!local_minima}. *)
+  Dgraph.Hmis.t * Sketchmodel.Rounds.stats
+(** {!local_minima} over the honest {!Hyper_views.views}. *)
 
 val run_luby :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  Dgraph.Hmis.t * Hyper_views.multi_stats
+  Dgraph.Hmis.t * Sketchmodel.Rounds.stats
 (** Run {!luby} to termination; returns a maximal independent set and
     the multi-round bit accounting. *)

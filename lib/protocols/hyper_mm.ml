@@ -1,4 +1,5 @@
 module Public_coins = Sketchmodel.Public_coins
+module Rounds = Sketchmodel.Rounds
 module H = Dgraph.Hypergraph
 module Writer = Stdx.Bitbuf.Writer
 module Reader = Stdx.Bitbuf.Reader
@@ -31,15 +32,12 @@ let compare_pin_arrays (a : int array) b =
   go 0
 
 let trivial =
-  {
-    Hyper_views.name = "hyper-trivial-mm";
-    player =
-      (fun view _coins ->
+  Rounds.one_round ~name:"hyper-trivial-mm"
+    ~player:(fun (view : Hyper_views.view) _coins ->
         let w = Writer.create () in
         Array.iter (fun pins -> write_edge w pins) view.Hyper_views.edges;
-        w);
-    referee =
-      (fun ~n ~sketches _coins ->
+        w)
+    ~referee:(fun ~n ~sketches _coins ->
         let b = H.Builder.create ~capacity:(max n 1) n in
         Array.iter
           (fun r ->
@@ -48,8 +46,7 @@ let trivial =
             done)
           sketches;
         let h = H.Builder.freeze b in
-        List.map (fun e -> H.pins h e) (Dgraph.Hmatching.greedy h ()));
-  }
+        List.map (fun e -> H.pins h e) (Dgraph.Hmatching.greedy h ()))
 
 type state = { covered : bool array; chosen : int array list }
 
@@ -58,11 +55,13 @@ type state = { covered : bool array; chosen : int array list }
    are all uncovered; the referee greedily commits disjoint proposals in
    that same order and broadcasts the grown covered set. No proposals
    means every hyperedge already meets a covered vertex — the chosen set
-   is a maximal matching. *)
+   is a maximal matching, and the referee announces the (unchanged)
+   covered set once more as it stops. *)
 let iterated ~n =
   {
-    Hyper_views.name = "hyper-iterated-mm";
-    rounds_limit = n + 2;
+    Rounds.name = "hyper-iterated-mm";
+    max_rounds = n + 2;
+    init = (fun ~n _coins -> { covered = Array.make n false; chosen = [] });
     player =
       (fun ~round:_ view state coins ->
         let w = Writer.create () in
@@ -83,7 +82,7 @@ let iterated ~n =
           match !best with None -> () | Some (_, pins) -> write_edge w pins
         end;
         w);
-    step =
+    referee =
       (fun ~round:_ ~n:_ ~state ~sketches coins ->
         let proposals = ref [] in
         Array.iter
@@ -94,7 +93,7 @@ let iterated ~n =
             end)
           sketches;
         match !proposals with
-        | [] -> (state, false)
+        | [] -> Rounds.Announce (state, List.rev state.chosen)
         | ps ->
             let ps =
               List.sort
@@ -111,7 +110,7 @@ let iterated ~n =
                   chosen := pins :: !chosen
                 end)
               ps;
-            ({ covered; chosen = !chosen }, true));
+            Rounds.Continue { covered; chosen = !chosen });
     encode_broadcast =
       (fun state ->
         let w = Writer.create () in
@@ -119,9 +118,7 @@ let iterated ~n =
         w);
   }
 
-let run_trivial h coins = Hyper_views.run trivial h coins
+let run_trivial h coins = Rounds.run_views trivial ~n:(H.n h) (Hyper_views.views h) coins
 
 let run_iterated h coins =
-  let init = { covered = Array.make (H.n h) false; chosen = [] } in
-  let state, stats = Hyper_views.run_multi (iterated ~n:(H.n h)) h ~init coins in
-  (List.rev state.chosen, stats)
+  Rounds.run_views (iterated ~n:(H.n h)) ~n:(H.n h) (Hyper_views.views h) coins

@@ -1,4 +1,5 @@
-(** Hypergraph maximal-matching protocols over {!Hyper_views}.
+(** Hypergraph maximal-matching protocols over {!Hyper_views} player
+    views, run by {!Sketchmodel.Rounds}.
 
     {b Trivial.} Every vertex ships the full pin set of every incident
     hyperedge; the referee reconstructs the hypergraph and runs greedy.
@@ -13,11 +14,12 @@
     ids, which no player can see). The referee commits disjoint
     proposals greedily in that same order and broadcasts the covered
     set. When no vertex proposes, every hyperedge meets a covered
-    vertex, so the chosen set is a maximal matching. Terminates in at
-    most [n/2 + 1] rounds (every non-final round commits at least one
-    edge). *)
+    vertex, so the chosen set is a maximal matching; the referee
+    announces the final covered set (charged like every other broadcast)
+    and stops. Terminates in at most [n/2 + 1] rounds (every non-final
+    round commits at least one edge). *)
 
-val trivial : int array list Hyper_views.protocol
+val trivial : (Hyper_views.view, unit, int array list) Sketchmodel.Rounds.protocol
 (** One round; output is the matching as a list of pin sets. *)
 
 (** Broadcast state of {!iterated}: players may only read [covered]
@@ -25,18 +27,19 @@ val trivial : int array list Hyper_views.protocol
     and is not part of the encoded broadcast. *)
 type state = { covered : bool array; chosen : int array list }
 
-val iterated : n:int -> state Hyper_views.multi
+val iterated :
+  n:int -> (Hyper_views.view, state, int array list) Sketchmodel.Rounds.protocol
 (** The multi-round proposal protocol for an [n]-vertex hypergraph. *)
 
 val run_trivial :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  int array list * Sketchmodel.Model.stats
-(** {!Hyper_views.run} of {!trivial}. *)
+  int array list * Sketchmodel.Rounds.stats
+(** {!trivial} over the honest {!Hyper_views.views}. *)
 
 val run_iterated :
   Dgraph.Hypergraph.t ->
   Sketchmodel.Public_coins.t ->
-  int array list * Hyper_views.multi_stats
+  int array list * Sketchmodel.Rounds.stats
 (** Run {!iterated} to termination; returns the maximal matching as pin
     sets in commit order, plus the multi-round bit accounting. *)

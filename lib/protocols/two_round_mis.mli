@@ -15,7 +15,10 @@
 type broadcast = { decided : bool array; i1 : Dgraph.Mis.t }
 
 val protocol :
-  ?prefix_factor:float -> n:int -> unit -> (broadcast, Dgraph.Mis.t) Sketchmodel.Rounds.protocol
+  ?prefix_factor:float ->
+  n:int ->
+  unit ->
+  (Sketchmodel.Model.view, broadcast, Dgraph.Mis.t) Sketchmodel.Rounds.protocol
 
 val run :
   ?prefix_factor:float ->

@@ -12,7 +12,10 @@
 type broadcast = { matched : bool array; m1 : Dgraph.Matching.t }
 
 val protocol :
-  ?cap_factor:float -> n:int -> unit -> (broadcast, Dgraph.Matching.t) Sketchmodel.Rounds.protocol
+  ?cap_factor:float ->
+  n:int ->
+  unit ->
+  (Sketchmodel.Model.view, broadcast, Dgraph.Matching.t) Sketchmodel.Rounds.protocol
 (** [cap_factor] scales the round-1 sample cap [⌈cap_factor·√n⌉]
     (default 1.0). *)
 

@@ -154,13 +154,13 @@ let handle_list _t =
         ("params", arr (List.map param_json (R.params e)));
       ]
   in
-  let protocol_json (name, doc) = obj [ ("name", jstr name); ("doc", jstr doc) ] in
+  let protocol_json (e : Simulate.entry) = obj [ ("name", jstr e.name); ("doc", jstr e.doc) ] in
   ok_response
     [
       ("op", jstr "list");
       ("version", jstr Stdx.Version.current);
       ("experiments", arr (List.map exp_json (Core.Exp_all.all ())));
-      ("protocols", arr (List.map protocol_json Simulate.protocols));
+      ("protocols", arr (List.map protocol_json Simulate.catalogue));
     ]
 
 let handle_stats t =
@@ -376,7 +376,7 @@ let request_key j =
               | Error _ -> None)))
   | Some "simulate" -> (
       match (str_field j "protocol", T.member "graph" j) with
-      | Some protocol, Some gj when List.mem_assoc protocol Simulate.protocols -> (
+      | Some protocol, Some gj when Option.is_some (Simulate.find protocol) -> (
           match Simulate.gspec_of_json gj with
           | Ok graph when Simulate.compatible ~protocol graph ->
               let seed = Option.value ~default:7 (int_field j "seed") in
@@ -419,11 +419,12 @@ let handle_run t ~cancelled j ~k =
 let handle_simulate t ~cancelled j ~k =
   match str_field j "protocol" with
   | None -> k (bad_request "simulate needs a string field \"protocol\"")
-  | Some name when not (List.mem_assoc name Simulate.protocols) ->
+  | Some name when Option.is_none (Simulate.find name) ->
       k
         (bad_request
            (Printf.sprintf "unknown protocol %S; valid protocols: %s" name
-              (String.concat ", " (List.map fst Simulate.protocols))))
+              (String.concat ", "
+                 (List.map (fun (e : Simulate.entry) -> e.name) Simulate.catalogue))))
   | Some name -> (
       match T.member "graph" j with
       | None -> k (bad_request "simulate needs an object field \"graph\"")

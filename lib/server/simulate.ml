@@ -2,10 +2,10 @@
    graph and report its exact bit accounting.
 
    This is the served version of what the repo's experiments do in-process
-   — the same [Sketchmodel.Model.run] / [Sketchmodel.Rounds.run] with the
-   same generators and the same coins, so a response's [max_bits] and
-   [total_bits] are {e exactly} the numbers an in-process run of the same
-   (protocol, graph, seed) triple produces; [test_server] pins that.
+   — the same protocol runs through the same [Sketchmodel.Rounds] engine
+   with the same generators and the same coins, so a response's stats are
+   {e exactly} the numbers an in-process run of the same catalogue entry
+   produces; [test_server] pins that.
 
    Derivations are fixed and documented in the mli: the graph generator is
    [Prng.split (Prng.create seed) 1], the coins are
@@ -83,38 +83,6 @@ let gspec_of_json j =
   | Some (T.Jstr k), _ -> Error (Printf.sprintf "unknown graph kind %S" k)
   | _ -> Error "graph spec needs a string field \"kind\""
 
-(* ------------------------------------------------------------------ *)
-(* The protocol catalogue                                              *)
-
-let protocols =
-  [
-    ("trivial-mm", "full neighbourhoods, referee solves MM exactly (one round)");
-    ("trivial-mis", "full neighbourhoods, referee solves MIS exactly (one round)");
-    ("local-minima", "one-bit local-minima MIS attempt (one round; rarely maximal)");
-    ("two-round-mm", "Lattanzi-style filtering MM (two rounds, O~(sqrt n))");
-    ("two-round-mis", "random-prefix greedy MIS (two rounds, O~(sqrt n))");
-    ("hyper-trivial-mm", "full incident pin sets, referee solves hypergraph MM (one round)");
-    ("hyper-iterated-mm", "proposal rounds to a maximal hypergraph matching (multi-round)");
-    ("hyper-local-minima-mis", "one-bit hypergraph MIS attempt (one round; rarely maximal)");
-    ("hyper-luby-mis", "Luby-style hypergraph MIS (multi-round, always maximal)");
-    ("prefix-mis-r4", "r-round prefix-greedy MIS at r=4 (multipass frontier)");
-    ("luby-mis-random", "Luby MIS, fresh public-coin priorities (2 bits/player/round)");
-    ("luby-mis-degree", "Luby MIS, degree-biased priorities (degree prep round first)");
-    ("luby-mis-index", "Luby MIS, fixed index priorities (deterministic rounds)");
-    ("stream-matching", "multi-pass semi-streaming (1+eps) matching at eps=1/4");
-  ]
-
-(* Graph protocols need a graph-shaped input; the hypergraph protocols
-   accept everything (graph kinds embed 2-uniformly). The service checks
-   this before computing, so a mismatch is a 400, not a crash. *)
-let compatible ~protocol graph =
-  match (protocol, graph) with
-  | ("hyper-trivial-mm" | "hyper-iterated-mm" | "hyper-local-minima-mis" | "hyper-luby-mis"), _
-    ->
-      true
-  | _, Hyperk _ -> false
-  | _, _ -> true
-
 let mm_output g m =
   let v = Dgraph.Matching.verify g m in
   T.Jobj
@@ -134,67 +102,6 @@ let mis_output g s =
       ("size", T.Jint (List.length s));
       ("independent", T.Jbool v.Dgraph.Mis.independent);
       ("maximal", T.Jbool v.Dgraph.Mis.maximal);
-    ]
-
-let one_round_stats (s : Model.stats) =
-  T.Jobj
-    [
-      ("rounds", T.Jint 1);
-      ("players", T.Jint s.Model.players);
-      ("max_bits", T.Jint s.Model.max_bits);
-      ("total_bits", T.Jint s.Model.total_bits);
-      ("avg_bits", T.Jfloat s.Model.avg_bits);
-    ]
-
-let two_round_stats (s : Rounds.stats) =
-  T.Jobj
-    [
-      ("rounds", T.Jint 2);
-      ("max_bits", T.Jint s.Rounds.max_bits);
-      ("round1_max", T.Jint s.Rounds.round1_max);
-      ("round2_max", T.Jint s.Rounds.round2_max);
-      ("broadcast_bits", T.Jint s.Rounds.broadcast_bits);
-      ("total_bits", T.Jint s.Rounds.total_bits);
-    ]
-
-let jarr_of_ints a = T.Jarr (Array.to_list (Array.map (fun i -> T.Jint i) a))
-
-(* The r-round engine's stats: the cumulative figures the fixed engines
-   report, plus the per-round curves the round-frontier experiment plots. *)
-let multipass_stats (s : Multipass.Rounds.stats) =
-  T.Jobj
-    [
-      ("rounds", T.Jint s.Multipass.Rounds.rounds);
-      ("max_bits", T.Jint s.Multipass.Rounds.max_bits);
-      ("total_bits", T.Jint s.Multipass.Rounds.total_bits);
-      ("broadcast_bits", T.Jint s.Multipass.Rounds.broadcast_bits);
-      ("round_max", jarr_of_ints s.Multipass.Rounds.round_max);
-      ("round_total", jarr_of_ints s.Multipass.Rounds.round_total);
-      ("round_broadcast", jarr_of_ints s.Multipass.Rounds.round_broadcast);
-    ]
-
-(* Streaming passes are the cost axis, not rounds: report per-pass memory
-   and matching growth alongside the peak. *)
-let stream_stats (r : Multipass.Stream_matching.result) =
-  let passes = r.Multipass.Stream_matching.passes in
-  let per f = T.Jarr (List.map (fun p -> T.Jint (f p)) passes) in
-  T.Jobj
-    [
-      ("passes", T.Jint (List.length passes));
-      ("peak_memory_bits", T.Jint r.Multipass.Stream_matching.peak_memory_bits);
-      ("converged", T.Jbool r.Multipass.Stream_matching.converged);
-      ("pass_memory_bits", per (fun p -> p.Multipass.Stream_matching.memory_bits));
-      ("pass_matching", per (fun p -> p.Multipass.Stream_matching.matching_size));
-      ("pass_augmented", per (fun p -> p.Multipass.Stream_matching.augmented));
-    ]
-
-let multi_round_stats (s : Protocols.Hyper_views.multi_stats) =
-  T.Jobj
-    [
-      ("rounds", T.Jint s.Protocols.Hyper_views.rounds);
-      ("max_bits", T.Jint s.Protocols.Hyper_views.max_bits);
-      ("total_bits", T.Jint s.Protocols.Hyper_views.total_bits);
-      ("broadcast_bits", T.Jint s.Protocols.Hyper_views.broadcast_bits);
     ]
 
 (* A hypergraph matching arrives as pin sets (players cannot name frozen
@@ -224,77 +131,151 @@ let hyper_mis_output h s =
       ("maximal", T.Jbool v.Dgraph.Hmis.maximal);
     ]
 
+let jarr_of_ints a = T.Jarr (Array.to_list (Array.map (fun i -> T.Jint i) a))
+
+(* The one stats shape of every round-based protocol: the cumulative
+   figures plus the per-round curves. Nothing of the older per-engine
+   shapes is lost: players = vertices, avg_bits = total_bits / players,
+   round1_max/round2_max = round_max[0]/[1]. *)
+let rounds_stats (s : Rounds.stats) =
+  T.Jobj
+    [
+      ("rounds", T.Jint s.Rounds.rounds);
+      ("max_bits", T.Jint s.Rounds.max_bits);
+      ("total_bits", T.Jint s.Rounds.total_bits);
+      ("broadcast_bits", T.Jint s.Rounds.broadcast_bits);
+      ("round_max", jarr_of_ints s.Rounds.round_max);
+      ("round_total", jarr_of_ints s.Rounds.round_total);
+      ("round_broadcast", jarr_of_ints s.Rounds.round_broadcast);
+    ]
+
+(* Streaming passes are the cost axis, not rounds: report per-pass memory
+   and matching growth alongside the peak. *)
+let stream_stats (r : Multipass.Stream_matching.result) =
+  let passes = r.Multipass.Stream_matching.passes in
+  let per f = T.Jarr (List.map (fun p -> T.Jint (f p)) passes) in
+  T.Jobj
+    [
+      ("passes", T.Jint (List.length passes));
+      ("peak_memory_bits", T.Jint r.Multipass.Stream_matching.peak_memory_bits);
+      ("converged", T.Jbool r.Multipass.Stream_matching.converged);
+      ("pass_memory_bits", per (fun p -> p.Multipass.Stream_matching.memory_bits));
+      ("pass_matching", per (fun p -> p.Multipass.Stream_matching.matching_size));
+      ("pass_augmented", per (fun p -> p.Multipass.Stream_matching.augmented));
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* The protocol catalogue                                              *)
+
+type input = Graph_input | Hypergraph_input
+type cost = Per_round of Rounds.stats | Per_pass of Multipass.Stream_matching.result
+type outcome = { vertices : int; edges : int; output : T.json; cost : cost }
+type entry = { name : string; doc : string; input : input; run : spec -> outcome }
+
+let on_graph name doc run_protocol verdict =
+  let run spec =
+    let g = graph_of_spec spec in
+    let out, stats = run_protocol g (coins spec.seed) in
+    {
+      vertices = Dgraph.Graph.n g;
+      edges = Dgraph.Graph.m g;
+      output = verdict g out;
+      cost = Per_round stats;
+    }
+  in
+  { name; doc; input = Graph_input; run }
+
+let on_hypergraph name doc run_protocol verdict =
+  let run spec =
+    let h = hypergraph_of_spec spec in
+    let out, stats = run_protocol h (coins spec.seed) in
+    {
+      vertices = Dgraph.Hypergraph.n h;
+      edges = Dgraph.Hypergraph.m h;
+      output = verdict h out;
+      cost = Per_round stats;
+    }
+  in
+  { name; doc; input = Hypergraph_input; run }
+
+let stream_matching spec =
+  let g = graph_of_spec spec in
+  let stream = Streams.Stream.shuffled (stream_rng spec.seed) g in
+  let res = Multipass.Stream_matching.run ~eps:0.25 stream in
+  {
+    vertices = Dgraph.Graph.n g;
+    edges = Dgraph.Graph.m g;
+    output = mm_output g res.Multipass.Stream_matching.matching;
+    cost = Per_pass res;
+  }
+
+let catalogue =
+  [
+    on_graph "trivial-mm" "full neighbourhoods, referee solves MM exactly (one round)"
+      (Model.run Protocols.Trivial.mm) mm_output;
+    on_graph "trivial-mis" "full neighbourhoods, referee solves MIS exactly (one round)"
+      (Model.run Protocols.Trivial.mis) mis_output;
+    on_graph "local-minima" "one-bit local-minima MIS attempt (one round; rarely maximal)"
+      (Model.run Protocols.One_round_mis.local_minima) mis_output;
+    on_graph "two-round-mm" "Lattanzi-style filtering MM (two rounds, O~(sqrt n))"
+      (fun g coins -> Protocols.Two_round_mm.run g coins) mm_output;
+    on_graph "two-round-mis" "random-prefix greedy MIS (two rounds, O~(sqrt n))"
+      (fun g coins -> Protocols.Two_round_mis.run g coins) mis_output;
+    on_hypergraph "hyper-trivial-mm"
+      "full incident pin sets, referee solves hypergraph MM (one round)"
+      Protocols.Hyper_mm.run_trivial hyper_mm_output;
+    on_hypergraph "hyper-iterated-mm"
+      "proposal rounds to a maximal hypergraph matching (multi-round)"
+      Protocols.Hyper_mm.run_iterated hyper_mm_output;
+    on_hypergraph "hyper-local-minima-mis"
+      "one-bit hypergraph MIS attempt (one round; rarely maximal)"
+      Protocols.Hyper_mis.run_local_minima hyper_mis_output;
+    on_hypergraph "hyper-luby-mis" "Luby-style hypergraph MIS (multi-round, always maximal)"
+      Protocols.Hyper_mis.run_luby hyper_mis_output;
+    on_graph "prefix-mis-r4" "r-round prefix-greedy MIS at r=4 (multipass frontier)"
+      (Multipass.Frontier.run ~rounds:4) mis_output;
+    on_graph "luby-mis-random" "Luby MIS, fresh public-coin priorities (2 bits/player/round)"
+      (Multipass.Luby.run Multipass.Luby.Random) mis_output;
+    on_graph "luby-mis-degree" "Luby MIS, degree-biased priorities (degree prep round first)"
+      (Multipass.Luby.run Multipass.Luby.Degree) mis_output;
+    on_graph "luby-mis-index" "Luby MIS, fixed index priorities (deterministic rounds)"
+      (Multipass.Luby.run Multipass.Luby.Index) mis_output;
+    {
+      name = "stream-matching";
+      doc = "multi-pass semi-streaming (1+eps) matching at eps=1/4";
+      input = Graph_input;
+      run = stream_matching;
+    };
+  ]
+
+let find name = List.find_opt (fun e -> e.name = name) catalogue
+
+(* Graph protocols need a graph-shaped input; the hypergraph protocols
+   accept everything (graph kinds embed 2-uniformly). The service checks
+   this before computing, so a mismatch is a 400, not a crash. *)
+let compatible ~protocol graph =
+  match (find protocol, graph) with
+  | Some { input = Hypergraph_input; _ }, _ -> true
+  | Some { input = Graph_input; _ }, Hyperk _ | None, _ -> false
+  | Some { input = Graph_input; _ }, _ -> true
+
+let stats_json = function Per_round s -> rounds_stats s | Per_pass r -> stream_stats r
+
 let run spec =
+  let entry =
+    match find spec.protocol with
+    | Some e -> e
+    | None -> invalid_arg (Printf.sprintf "Simulate.run: unknown protocol %S" spec.protocol)
+  in
   if not (compatible ~protocol:spec.protocol spec.graph) then
     invalid_arg (Printf.sprintf "Simulate.run: protocol %S needs a graph input" spec.protocol);
-  let coins = coins spec.seed in
-  let sizes, output, stats =
-    match spec.protocol with
-    | "trivial-mm" ->
-        let g = graph_of_spec spec in
-        let m, s = Model.run Protocols.Trivial.mm g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mm_output g m, one_round_stats s)
-    | "trivial-mis" ->
-        let g = graph_of_spec spec in
-        let mis, s = Model.run Protocols.Trivial.mis g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, one_round_stats s)
-    | "local-minima" ->
-        let g = graph_of_spec spec in
-        let mis, s = Model.run Protocols.One_round_mis.local_minima g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, one_round_stats s)
-    | "two-round-mm" ->
-        let g = graph_of_spec spec in
-        let m, s = Protocols.Two_round_mm.run g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mm_output g m, two_round_stats s)
-    | "two-round-mis" ->
-        let g = graph_of_spec spec in
-        let mis, s = Protocols.Two_round_mis.run g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, two_round_stats s)
-    | "hyper-trivial-mm" ->
-        let h = hypergraph_of_spec spec in
-        let m, s = Protocols.Hyper_mm.run_trivial h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mm_output h m, one_round_stats s)
-    | "hyper-iterated-mm" ->
-        let h = hypergraph_of_spec spec in
-        let m, s = Protocols.Hyper_mm.run_iterated h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mm_output h m, multi_round_stats s)
-    | "hyper-local-minima-mis" ->
-        let h = hypergraph_of_spec spec in
-        let mis, s = Protocols.Hyper_mis.run_local_minima h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mis_output h mis, one_round_stats s)
-    | "hyper-luby-mis" ->
-        let h = hypergraph_of_spec spec in
-        let mis, s = Protocols.Hyper_mis.run_luby h coins in
-        ((Dgraph.Hypergraph.n h, Dgraph.Hypergraph.m h), hyper_mis_output h mis, multi_round_stats s)
-    | "prefix-mis-r4" ->
-        let g = graph_of_spec spec in
-        let mis, s = Multipass.Frontier.run ~rounds:4 g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, multipass_stats s)
-    | ("luby-mis-random" | "luby-mis-degree" | "luby-mis-index") as name ->
-        let kind =
-          match name with
-          | "luby-mis-random" -> Multipass.Luby.Random
-          | "luby-mis-degree" -> Multipass.Luby.Degree
-          | _ -> Multipass.Luby.Index
-        in
-        let g = graph_of_spec spec in
-        let mis, s = Multipass.Luby.run kind g coins in
-        ((Dgraph.Graph.n g, Dgraph.Graph.m g), mis_output g mis, multipass_stats s)
-    | "stream-matching" ->
-        let g = graph_of_spec spec in
-        let stream = Streams.Stream.shuffled (stream_rng spec.seed) g in
-        let res = Multipass.Stream_matching.run ~eps:0.25 stream in
-        ( (Dgraph.Graph.n g, Dgraph.Graph.m g),
-          mm_output g res.Multipass.Stream_matching.matching,
-          stream_stats res )
-    | other -> invalid_arg (Printf.sprintf "Simulate.run: unknown protocol %S" other)
-  in
+  let o = entry.run spec in
   [
     ("protocol", T.Jstr spec.protocol);
     ("graph", json_of_gspec spec.graph);
     ("seed", T.Jint spec.seed);
-    ("vertices", T.Jint (fst sizes));
-    ("edges", T.Jint (snd sizes));
-    ("output", output);
-    ("stats", stats);
+    ("vertices", T.Jint o.vertices);
+    ("edges", T.Jint o.edges);
+    ("output", o.output);
+    ("stats", stats_json o.cost);
   ]

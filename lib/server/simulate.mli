@@ -4,10 +4,11 @@
     Determinism contract (what makes simulate responses cacheable and
     testable): for a [spec] with seed [s], the graph generator is
     [Stdx.Prng.split (Stdx.Prng.create s) 1] and the public coins are
-    [Sketchmodel.Public_coins.create s]. An in-process
-    [Sketchmodel.Model.run] (or [Rounds.run]) of the same protocol over
-    {!graph_of_spec} with {!coins} produces {e exactly} the [max_bits] /
-    [total_bits] the response reports. *)
+    [Sketchmodel.Public_coins.create s]. An in-process run of the same
+    {!catalogue} entry produces {e exactly} the stats the response
+    reports: every round-based protocol runs through
+    {!Sketchmodel.Rounds.run_views} and answers with its one stats
+    shape. *)
 
 module T = Report.Tabular
 
@@ -52,22 +53,63 @@ val json_of_gspec : gspec -> T.json
 val gspec_of_json : T.json -> (gspec, string) result
 (** Parse a wire graph spec; [Error] carries a human-readable reason. *)
 
-val protocols : (string * string) list
-(** [(name, doc)] for every runnable protocol: [trivial-mm], [trivial-mis],
-    [local-minima], [two-round-mm], [two-round-mis], the hypergraph
-    protocols [hyper-trivial-mm], [hyper-iterated-mm],
+(** {1 The protocol catalogue} *)
+
+(** What a protocol runs on: a graph kind only, or every kind
+    (hypergraph protocols take graph kinds through the 2-uniform
+    embedding). *)
+type input = Graph_input | Hypergraph_input
+
+(** A run's cost: the round engine's accounting, or — for
+    [stream-matching] — its per-pass memory. *)
+type cost =
+  | Per_round of Sketchmodel.Rounds.stats
+  | Per_pass of Multipass.Stream_matching.result
+
+type outcome = {
+  vertices : int;
+  edges : int;
+  output : T.json;  (** the verdict object (kind, size, validity flags) *)
+  cost : cost;
+}
+(** One in-process run of a catalogue entry. *)
+
+type entry = {
+  name : string;  (** wire id, e.g. [two-round-mm] *)
+  doc : string;
+  input : input;
+  run : spec -> outcome;
+      (** Build the input from the spec, run the protocol with {!coins}
+          [spec.seed], and judge the output. *)
+}
+
+val catalogue : entry list
+(** Every runnable protocol, in listing order: [trivial-mm],
+    [trivial-mis], [local-minima], [two-round-mm], [two-round-mis], the
+    hypergraph protocols [hyper-trivial-mm], [hyper-iterated-mm],
     [hyper-local-minima-mis], [hyper-luby-mis], and the multipass wing
     [prefix-mis-r4], [luby-mis-random], [luby-mis-degree],
-    [luby-mis-index], [stream-matching] (PROTOCOL.md §4.5). *)
+    [luby-mis-index], [stream-matching] (PROTOCOL.md §4.5). The service's
+    [list] response, its unknown-protocol message and {!compatible} all
+    read this list. *)
+
+val find : string -> entry option
+(** The catalogue entry with this name. *)
 
 val compatible : protocol:string -> gspec -> bool
-(** Whether the protocol can run on the input: graph protocols need a
-    graph kind, the [hyper-*] protocols accept every kind. The service
-    layer rejects incompatible pairs as a 400 before computing. *)
+(** Whether the protocol can run on the input: [Graph_input] entries
+    need a graph kind, [Hypergraph_input] entries accept every kind, an
+    unknown protocol runs on nothing. The service layer rejects
+    incompatible pairs as a 400 before computing. *)
+
+val stats_json : cost -> T.json
+(** The response's [stats] object: the one round-engine shape ([rounds],
+    [max_bits], [total_bits], [broadcast_bits] and the [round_max] /
+    [round_total] / [round_broadcast] curves), or the per-pass shape. *)
 
 val run : spec -> (string * T.json) list
 (** Execute the simulation; the response body's fields ([protocol], [graph],
     [seed], [vertices], [edges], [output], [stats]). Raises
     [Invalid_argument] on an unknown protocol name or an incompatible
     (protocol, input) pair — the service layer validates first via
-    {!protocols} and {!compatible}. *)
+    {!find} and {!compatible}. *)

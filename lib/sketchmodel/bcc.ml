@@ -1,17 +1,21 @@
-(* The history is deliberately *not* a materialised list of reader
-   arrays: building fresh readers of every prior round for every
-   consumer made [run] O(n²·rounds²) in byte copies — the dominant
-   allocation of the whole bench suite. Instead a history is a handle
-   that mints fresh readers for one round on demand; consumers that
-   replay incrementally (e.g. Bcc_mm) touch only the newest round. *)
+(* A BCC execution is an engine run whose state is the broadcast
+   history. The history is deliberately *not* a materialised list of
+   reader arrays handed to every consumer: building fresh readers of
+   every prior round for every consumer made a run O(n²·rounds²) in byte
+   copies — once the dominant allocation of the whole bench suite.
+   Instead a history is a handle over the rounds stored so far that
+   mints fresh readers for one round on demand; consumers that replay
+   incrementally (e.g. Bcc_mm) touch only the newest round. *)
 
-type history = { upto : int; fresh : int -> Stdx.Bitbuf.Reader.t array }
+module Reader = Stdx.Bitbuf.Reader
+
+type history = { upto : int; stored : Reader.t array array }
 
 let rounds_so_far h = h.upto
 
 let round_readers h round =
   if round < 1 || round > h.upto then invalid_arg "Bcc.round_readers: round out of range";
-  h.fresh round
+  Array.map Reader.restart h.stored.(round - 1)
 
 type 'a protocol = {
   name : string;
@@ -21,36 +25,29 @@ type 'a protocol = {
   output : n:int -> history -> Public_coins.t -> 'a;
 }
 
-type stats = { max_bits_per_round : int; max_bits_total : int; rounds_used : int }
+(* Every vertex's broadcast reaches all vertices and the referee, and is
+   already charged as that player's bits; the referee forwards nothing
+   of its own, so the engine's broadcast costs zero bits. [stored] only
+   grows, so an older history value stays valid. *)
+let to_rounds protocol =
+  let stored = Array.make protocol.rounds [||] in
+  {
+    Rounds.name = protocol.name;
+    max_rounds = protocol.rounds;
+    init = (fun ~n:_ _ -> { upto = 0; stored });
+    player = (fun ~round view history coins -> protocol.broadcast ~round view history coins);
+    referee =
+      (fun ~round ~n ~state:_ ~sketches coins ->
+        stored.(round - 1) <- sketches;
+        let history = { upto = round; stored } in
+        if round = protocol.rounds then Rounds.Finish (protocol.output ~n history coins)
+        else Rounds.Continue history);
+    encode_broadcast = (fun _ -> Stdx.Bitbuf.Writer.create ());
+  }
 
 let run protocol g coins =
   if protocol.rounds < 1 then invalid_arg "Bcc.run: rounds";
-  let n = Dgraph.Graph.n g in
-  let views = Model.views g in
-  let stored = Array.make protocol.rounds [||] in
-  (* Fresh readers for every consumer: broadcast messages are public, but
-     each recipient parses its own copy — [fresh] mints a new reader
-     array per call, so no two consumers share cursor state. *)
-  let history upto =
-    { upto; fresh = (fun round -> Array.map Stdx.Bitbuf.Reader.of_writer stored.(round - 1)) }
-  in
-  let per_round_max = ref 0 in
-  let per_vertex_total = Array.make n 0 in
-  for round = 1 to protocol.rounds do
-    let h = history (round - 1) in
-    let writers = Array.map (fun view -> protocol.broadcast ~round view h coins) views in
-    let sizes = Array.map Stdx.Bitbuf.Writer.length_bits writers in
-    per_round_max := max !per_round_max (Array.fold_left max 0 sizes);
-    Array.iteri (fun v s -> per_vertex_total.(v) <- per_vertex_total.(v) + s) sizes;
-    stored.(round - 1) <- writers
-  done;
-  let output = protocol.output ~n (history protocol.rounds) coins in
-  ( output,
-    {
-      max_bits_per_round = !per_round_max;
-      max_bits_total = Array.fold_left max 0 per_vertex_total;
-      rounds_used = protocol.rounds;
-    } )
+  Model.run_rounds (to_rounds protocol) g coins
 
 let of_sketch (p : 'a Model.protocol) =
   {
@@ -69,11 +66,9 @@ let of_sketch (p : 'a Model.protocol) =
 
 let to_sketch (p : 'a protocol) =
   if p.rounds <> 1 then invalid_arg "Bcc.to_sketch: protocol uses more than one round";
-  let empty = { upto = 0; fresh = (fun _ -> [||]) } in
+  let empty = { upto = 0; stored = [||] } in
   {
     Model.name = p.name ^ "@sketch";
     player = (fun view coins -> p.broadcast ~round:1 view empty coins);
-    (* The referee's readers pass through as round 1 (not re-minted:
-       sketching hands each consumer its readers exactly once). *)
-    referee = (fun ~n ~sketches coins -> p.output ~n { upto = 1; fresh = (fun _ -> sketches) } coins);
+    referee = (fun ~n ~sketches coins -> p.output ~n { upto = 1; stored = [| sketches |] } coins);
   }

@@ -22,8 +22,8 @@ type history
 (** Everything broadcast so far: {!rounds_so_far} completed rounds, with
     the messages of any of them available through {!round_readers}.
 
-    The history is an on-demand handle, not a materialised list: readers
-    for a round exist only once a consumer asks for that round. A
+    The history is an on-demand handle, not a materialised list: fresh
+    readers for a round exist only once a consumer asks for that round. A
     protocol that replays incrementally (caching the state it derived
     from rounds [1..k] and consuming only rounds [k+1..]) therefore pays
     for each broadcast bit a constant number of times over the whole
@@ -51,13 +51,13 @@ type 'a protocol = {
       (** The referee's output from the full history. *)
 }
 
-type stats = {
-  max_bits_per_round : int;  (** the BCC bandwidth measure *)
-  max_bits_total : int;  (** worst-case total bits broadcast by one vertex *)
-  rounds_used : int;
-}
-
-val run : 'a protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * stats
+val run : 'a protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * Rounds.stats
+(** Runs through {!Sketchmodel.Rounds.run_views} with the history as the
+    engine state. The referee forwards nothing of its own — every
+    broadcast is already charged as its sender's player bits — so
+    [broadcast_bits = 0]. The BCC measures are
+    {!Sketchmodel.Rounds.max_bits_per_round} (bandwidth), [max_bits]
+    (worst total broadcast by one vertex) and [rounds]. *)
 
 val of_sketch : 'a Model.protocol -> 'a protocol
 (** A sketching protocol as a one-round BCC protocol (same messages). *)

@@ -26,35 +26,25 @@ type 'a protocol = {
       (** Output from the sketches and the coins; no access to the graph. *)
 }
 
-type stats = {
-  max_bits : int;  (** the paper's communication cost *)
-  total_bits : int;
-  avg_bits : float;
-  players : int;
-}
-
-val run : 'a protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * stats
-(** Executes one round honestly: builds views, runs every player, hands the
-    referee read-only sketches, and accounts bits. *)
+val run : 'a protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * Rounds.stats
+(** Executes one round honestly through {!Sketchmodel.Rounds.run_views}:
+    builds views, runs every player, hands the referee read-only
+    sketches, and accounts bits ([rounds = 1], no broadcast). *)
 
 val run_views :
-  ?schedule:int array -> 'a protocol -> n:int -> view array -> Public_coins.t -> 'a * stats
+  ?schedule:int array -> 'a protocol -> n:int -> view array -> Public_coins.t -> 'a * Rounds.stats
 (** Same, but over explicit views — used by the public/unique augmented
     player model of Section 3.1, where the number of players exceeds [n]
-    and views are not the honest per-vertex ones.
+    and views are not the honest per-vertex ones. [schedule] fixes the
+    order player sketches are computed in and never changes the result
+    (see {!Sketchmodel.Rounds.run_views}). *)
 
-    [schedule] (a permutation of the player indices; default identity)
-    fixes the {e order} in which player sketches are computed. Players are
-    simultaneous and independent, so every schedule must give identical
-    output and stats — the referee's accounting is order-independent by
-    construction. The knob exists so tests can pin that invariant, which
-    is what makes computing sketches concurrently (or trials in parallel
-    via {!Stdx.Parallel}) safe. Raises [Invalid_argument] if [schedule]
-    is not a permutation. *)
+val run_rounds :
+  (view, 'b, 'a) Rounds.protocol -> Dgraph.Graph.t -> Public_coins.t -> 'a * Rounds.stats
+(** A multi-round protocol over the graph's honest per-vertex views: the
+    adaptive extension in which the referee broadcasts between rounds. *)
 
 val success_rate :
   trials:int -> seed:int -> (Public_coins.t -> bool) -> float
 (** Runs a boolean experiment over [trials] independent public-coin seeds
     and returns the empirical success probability. *)
-
-val pp_stats : Format.formatter -> stats -> unit

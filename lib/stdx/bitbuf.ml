@@ -69,6 +69,8 @@ module Reader = struct
 
   let remaining_bits r = r.len_bits - r.pos
 
+  let restart r = { r with pos = 0 }
+
   let bit r =
     if r.pos >= r.len_bits then raise Underflow;
     let byte = r.pos / 8 and off = r.pos mod 8 in

@@ -72,6 +72,10 @@ module Reader : sig
   val remaining_bits : t -> int
   (** Bits left between the cursor and the end of the stream. *)
 
+  val restart : t -> t
+  (** A fresh reader over the same message, positioned at its first bit.
+      The two readers share the (immutable) bytes but not the cursor. *)
+
   exception Underflow
   (** Raised when reading past the end of the message. *)
 end

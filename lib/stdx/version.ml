@@ -3,6 +3,6 @@
    bench JSON pick it up — deployments and bug reports can always identify
    the build they are talking to. *)
 
-let current = "1.7.0"
+let current = "1.8.0"
 
 let describe () = Printf.sprintf "sketchlb %s (ocaml %s)" current Sys.ocaml_version

@@ -66,6 +66,8 @@ grep -q '"role":"proxy"' "$tmp/ping.json" || fail "ping through proxy lacks role
 sim() { "$SKETCHCTL" simulate two-round-mm --graph gnp -n 48 --prob 0.2 --seed 3 -p "$pport"; }
 sim >"$tmp/s1.json"
 grep -q '"ok":true' "$tmp/s1.json" || fail "simulate reported an error: $(cat "$tmp/s1.json")"
+# Every round-based protocol answers with the one engine stats shape.
+grep -q '"round_max":\[' "$tmp/s1.json" || fail "two-round simulate lacks the per-round curve"
 sim >"$tmp/s2.json"
 diff "$tmp/s1.json" "$tmp/s2.json" >/dev/null || fail "cached replay differs"
 

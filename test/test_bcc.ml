@@ -19,8 +19,9 @@ let test_of_sketch_same_output () =
     let direct, dstats = Model.run Protocols.Trivial.mm g coins in
     let via_bcc, bstats = Bcc.run (Bcc.of_sketch Protocols.Trivial.mm) g coins in
     checkb "same output" true (direct = via_bcc);
-    checki "same per-round cost" dstats.Model.max_bits bstats.Bcc.max_bits_per_round;
-    checki "one round" 1 bstats.Bcc.rounds_used
+    checki "same per-round cost" dstats.Sketchmodel.Rounds.max_bits
+      (Sketchmodel.Rounds.max_bits_per_round bstats);
+    checki "one round" 1 bstats.Sketchmodel.Rounds.rounds
   done
 
 let test_roundtrip_to_sketch () =
@@ -30,7 +31,7 @@ let test_roundtrip_to_sketch () =
   let a, sa = Model.run Protocols.Trivial.mis g coins in
   let b, sb = Model.run roundtripped g coins in
   checkb "same output" true (a = b);
-  checki "same cost" sa.Model.max_bits sb.Model.max_bits
+  checki "same cost" sa.Sketchmodel.Rounds.max_bits sb.Sketchmodel.Rounds.max_bits
 
 let test_to_sketch_rejects_multiround () =
   let two_round =
@@ -74,8 +75,9 @@ let test_two_round_history () =
   let g = Dgraph.Gen.star 8 in
   let claimed, stats = Bcc.run max_degree_protocol g (PC.create 7) in
   Alcotest.(check (list int)) "centre has max degree" [ 0 ] claimed;
-  checki "rounds" 2 stats.Bcc.rounds_used;
-  checkb "total >= per-round" true (stats.Bcc.max_bits_total >= stats.Bcc.max_bits_per_round)
+  checki "rounds" 2 stats.Sketchmodel.Rounds.rounds;
+  checkb "total >= per-round" true
+    (stats.Sketchmodel.Rounds.max_bits >= Sketchmodel.Rounds.max_bits_per_round stats)
 
 let test_two_round_history_random () =
   let rng = Stdx.Prng.create 9 in

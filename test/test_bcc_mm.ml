@@ -32,12 +32,12 @@ let test_cost_logarithmic () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 2) 100 0.1 in
   let _, stats = Protocols.Bcc_mm.run g (PC.create 3) in
   checki "rounds as configured" (Protocols.Bcc_mm.rounds_for 100)
-    stats.Sketchmodel.Bcc.rounds_used;
+    stats.Sketchmodel.Rounds.rounds;
   (* Each broadcast is one uvarint: at most 2 bytes for ids < 2^14. *)
-  checkb "per-round bits tiny" true (stats.Sketchmodel.Bcc.max_bits_per_round <= 16);
+  checkb "per-round bits tiny" true (Sketchmodel.Rounds.max_bits_per_round stats <= 16);
   checkb "total = rounds x per-round-ish" true
-    (stats.Sketchmodel.Bcc.max_bits_total
-    <= stats.Sketchmodel.Bcc.rounds_used * stats.Sketchmodel.Bcc.max_bits_per_round)
+    (stats.Sketchmodel.Rounds.max_bits
+    <= stats.Sketchmodel.Rounds.rounds * Sketchmodel.Rounds.max_bits_per_round stats)
 
 let test_rounds_grow_slowly () =
   checkb "log growth" true

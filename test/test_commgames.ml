@@ -70,7 +70,7 @@ let test_equality_equal_strings () =
       S.run structure (S.equality_two_party ~bits ~reps:8) ~input (PC.create seed)
     in
     checkb "accepts equal" true verdict;
-    checki "8 bits per player" 8 stats.Sketchmodel.Model.max_bits
+    checki "8 bits per player" 8 stats.Sketchmodel.Rounds.max_bits
   done
 
 let test_equality_unequal_strings () =

@@ -107,7 +107,7 @@ let test_budget_starvation_graceful () =
     (fun b ->
       let p = Protocols.Sampled_mm.protocol ~budget_bits:b ~strategy:Protocols.Sampled_mm.Uniform in
       let out, stats = Model.run p g (PC.create 7) in
-      checkb "within budget" true (stats.Model.max_bits <= b);
+      checkb "within budget" true (stats.Sketchmodel.Rounds.max_bits <= b);
       let verdict = Dgraph.Matching.verify g out in
       checkb "never invalid edges" true verdict.Dgraph.Matching.edges_exist)
     [ 1; 2; 3; 7 ]

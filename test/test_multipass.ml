@@ -1,10 +1,10 @@
-(* Tests for Multipass: the r-round referee engine (and its byte-identity
-   with the fixed one- and two-round engines), the frontier prefix MIS
-   family, the Luby priority variants, and multi-pass streaming matching. *)
+(* Tests for the referee engine ([Sketchmodel.Rounds]: pinned bit counts
+   and accounting identities for every protocol that runs through it) and
+   for Multipass: the frontier prefix MIS family, the Luby priority
+   variants, and multi-pass streaming matching. *)
 
 module Model = Sketchmodel.Model
-module Rounds2 = Sketchmodel.Rounds
-module MP = Multipass.Rounds
+module MP = Sketchmodel.Rounds
 module PC = Sketchmodel.Public_coins
 module G = Dgraph.Graph
 module S = Streams.Stream
@@ -23,69 +23,145 @@ let graphs seed =
     Dgraph.Gen.star 6;
   ]
 
-(* ---- Regression: r = 1 embedding is byte-identical to Model.run ---- *)
+(* ---- Regression: pinned bit counts ----
 
-let test_of_one_round_identity () =
+   These literals were recorded from the five separate round engines the
+   single engine replaced (one-round, two-round, r-round, hypergraph
+   multi-round, BCC), on the spec the service tests use. Every protocol
+   now runs through [Sketchmodel.Rounds]; the literals pin that it still
+   charges exactly the same bits. *)
+
+type pinned = {
+  rounds : int;
+  max_bits : int;
+  total_bits : int;
+  broadcast_bits : int;
+  round_max : int array;
+}
+
+(* [pin rounds max_bits total_bits broadcast_bits round_max] *)
+let pin rounds max_bits total_bits broadcast_bits round_max =
+  { rounds; max_bits; total_bits; broadcast_bits; round_max }
+
+let pinned_catalogue =
+  [
+    ("trivial-mm", pin 1 80 1904 0 [| 80 |]);
+    ("trivial-mis", pin 1 80 1904 0 [| 80 |]);
+    ("local-minima", pin 1 1 40 0 [| 1 |]);
+    ("two-round-mm", pin 2 72 2200 320 [| 64; 8 |]);
+    ("two-round-mis", pin 2 48 1184 88 [| 24; 40 |]);
+    ("hyper-trivial-mm", pin 1 216 4752 0 [| 216 |]);
+    ("hyper-iterated-mm", pin 3 48 1152 120 [| 24; 24; 0 |]);
+    ("hyper-local-minima-mis", pin 1 1 40 0 [| 1 |]);
+    ("hyper-luby-mis", pin 4 8 160 320 [| 2; 2; 2; 2 |]);
+    ("prefix-mis-r4", pin 4 56 1136 208 [| 24; 16; 24; 24 |]);
+    ("luby-mis-random", pin 4 8 152 240 [| 2; 2; 2; 2 |]);
+    ("luby-mis-degree", pin 4 14 462 560 [| 8; 2; 2; 2 |]);
+    ("luby-mis-index", pin 4 8 156 240 [| 2; 2; 2; 2 |]);
+  ]
+
+let check_pinned name (p : pinned) (s : MP.stats) =
+  checki (name ^ " rounds") p.rounds s.MP.rounds;
+  checki (name ^ " max_bits") p.max_bits s.MP.max_bits;
+  checki (name ^ " total_bits") p.total_bits s.MP.total_bits;
+  checki (name ^ " broadcast_bits") p.broadcast_bits s.MP.broadcast_bits;
+  checkis (name ^ " round_max") (Array.to_list p.round_max) (Array.to_list s.MP.round_max)
+
+let test_pinned_catalogue () =
+  let graph = Server.Simulate.Gnp { n = 40; p = 0.15 } in
+  let round_based = ref 0 in
+  List.iter
+    (fun (e : Server.Simulate.entry) ->
+      let spec = { Server.Simulate.protocol = e.name; graph; seed = 11 } in
+      match (e.run spec).Server.Simulate.cost with
+      | Server.Simulate.Per_round s ->
+          incr round_based;
+          check_pinned e.name (List.assoc e.name pinned_catalogue) s
+      | Server.Simulate.Per_pass _ -> ())
+    Server.Simulate.catalogue;
+  checki "every round-based protocol pinned" (List.length pinned_catalogue) !round_based
+
+let test_pinned_bcc_mm () =
+  let dmm = Core.Hard_dist.sample (Rsgraph.Rs_graph.bipartite 5) (Stdx.Prng.create 12) in
+  let g = dmm.Core.Hard_dist.graph in
+  let mm, s = Protocols.Bcc_mm.run g (PC.create 13) in
+  checki "matching size" 19 (List.length mm);
+  check_pinned "bcc-mm"
+    (pin 26 208 11856 0 (Array.make 26 8))
+    s;
+  checki "bandwidth (bits per round)" 8 (MP.max_bits_per_round s)
+
+(* ---- Regression: one- and two-round protocols, graph by graph ----
+
+   The fixed one- and two-round engines used to be embedded into the
+   r-round engine, and these tests checked that both ran byte-identically.
+   Now that there is one engine, each run is pinned per graph of
+   [graphs seed] to the output and bits those fixed engines produced:
+   (sorted output, max_bits, total_bits, broadcast_bits, round_max). *)
+
+let check_identity out_t ~seed ~coins expected run =
   List.iteri
-    (fun i g ->
-      let coins = PC.create (100 + i) in
-      let direct, ds = Model.run Protocols.Trivial.mis g coins in
-      let embedded, es = MP.run (MP.of_one_round Protocols.Trivial.mis) g coins in
-      checkis "same MIS" (List.sort compare direct) (List.sort compare embedded);
-      checki "same max_bits" ds.Model.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Model.total_bits es.MP.total_bits;
-      checki "one round" 1 es.MP.rounds;
-      checki "no broadcast" 0 es.MP.broadcast_bits;
-      checki "round_max agrees" ds.Model.max_bits es.MP.round_max.(0);
-      checki "round_total agrees" ds.Model.total_bits es.MP.round_total.(0))
-    (graphs 11)
+    (fun i (g, (out, max_bits, total_bits, broadcast_bits, round_max)) ->
+      let got, s = run g (PC.create (coins + i)) in
+      let name = Printf.sprintf "graph %d" i in
+      Alcotest.check out_t (name ^ " output") out (List.sort compare got);
+      check_pinned name
+        { rounds = Array.length round_max; max_bits; total_bits; broadcast_bits; round_max }
+        s;
+      checki (name ^ " total is the sum of rounds") s.MP.total_bits
+        (Array.fold_left ( + ) 0 s.MP.round_total);
+      checki (name ^ " no broadcast after finish") 0 s.MP.round_broadcast.(s.MP.rounds - 1))
+    (List.combine (graphs seed) expected)
 
-let test_of_one_round_identity_mis_protocol () =
-  List.iteri
-    (fun i g ->
-      let coins = PC.create (200 + i) in
-      let p = Protocols.One_round_mis.local_minima in
-      let direct, ds = Model.run p g coins in
-      let embedded, es = MP.run (MP.of_one_round p) g coins in
-      checkis "same MIS" (List.sort compare direct) (List.sort compare embedded);
-      checki "same max_bits" ds.Model.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Model.total_bits es.MP.total_bits)
-    (graphs 12)
+let mis_t = Alcotest.(list int)
+let mm_t = Alcotest.(list (pair int int))
 
-(* ---- Regression: r = 2 embedding is byte-identical to Rounds.run ---- *)
+let test_r1_identity_trivial_mis () =
+  check_identity mis_t ~seed:11 ~coins:100
+    [
+      ([ 0; 1; 3; 6; 11; 13; 17; 18; 19 ], 64, 800, 0, [| 64 |]);
+      ([ 0; 1; 3; 4; 7; 8; 9; 10; 13; 15; 19; 21; 23; 26; 31 ], 64, 960, 0, [| 64 |]);
+      ([ 0; 2; 4; 6; 8; 10; 12 ], 24, 360, 0, [| 24 |]);
+      ([ 0 ], 64, 512, 0, [| 64 |]);
+      ([ 0 ], 48, 128, 0, [| 48 |]);
+    ]
+    (Model.run Protocols.Trivial.mis)
 
-let test_of_two_round_identity_mis () =
-  List.iteri
-    (fun i g ->
-      let n = G.n g in
-      let coins = PC.create (300 + i) in
-      let p = Protocols.Two_round_mis.protocol ~n () in
-      let direct, ds = Rounds2.run p g coins in
-      let embedded, es = MP.run (MP.of_two_round p) g coins in
-      checkis "same MIS" (List.sort compare direct) (List.sort compare embedded);
-      checki "same max_bits" ds.Rounds2.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Rounds2.total_bits es.MP.total_bits;
-      checki "same broadcast_bits" ds.Rounds2.broadcast_bits es.MP.broadcast_bits;
-      checki "two rounds" 2 es.MP.rounds;
-      checki "round1_max agrees" ds.Rounds2.round1_max es.MP.round_max.(0);
-      checki "round2_max agrees" ds.Rounds2.round2_max es.MP.round_max.(1);
-      checki "broadcast after round 1" ds.Rounds2.broadcast_bits es.MP.round_broadcast.(0);
-      checki "no broadcast after finish" 0 es.MP.round_broadcast.(1))
-    (graphs 13)
+let test_r1_identity_local_minima () =
+  check_identity mis_t ~seed:12 ~coins:200
+    [
+      ([ 3; 5; 14; 16 ], 1, 20, 0, [| 1 |]);
+      ([ 6; 9; 15; 17; 24; 25; 26; 27 ], 1, 32, 0, [| 1 |]);
+      ([ 2; 4; 6; 10; 12; 14 ], 1, 15, 0, [| 1 |]);
+      ([ 3 ], 1, 8, 0, [| 1 |]);
+      ([ 0 ], 1, 6, 0, [| 1 |]);
+    ]
+    (Model.run Protocols.One_round_mis.local_minima)
 
-let test_of_two_round_identity_mm () =
-  List.iteri
-    (fun i g ->
-      let n = G.n g in
-      let coins = PC.create (400 + i) in
-      let p = Protocols.Two_round_mm.protocol ~n () in
-      let direct, ds = Rounds2.run p g coins in
-      let embedded, es = MP.run (MP.of_two_round p) g coins in
-      checkb "same matching" true (List.sort compare direct = List.sort compare embedded);
-      checki "same max_bits" ds.Rounds2.max_bits es.MP.max_bits;
-      checki "same total_bits" ds.Rounds2.total_bits es.MP.total_bits;
-      checki "same broadcast_bits" ds.Rounds2.broadcast_bits es.MP.broadcast_bits)
-    (graphs 14)
+let test_r2_identity_mis () =
+  check_identity mis_t ~seed:13 ~coins:300
+    [
+      ([ 2; 7; 9; 15; 18; 19 ], 48, 600, 52, [| 40; 8 |]);
+      ([ 3; 4; 6; 13; 14; 17; 18; 19; 20; 23; 30 ], 40, 776, 88, [| 24; 32 |]);
+      ([ 0; 2; 4; 7; 9; 11; 13 ], 32, 384, 47, [| 24; 24 |]);
+      ([ 2 ], 40, 296, 24, [| 32; 8 |]);
+      ([ 1; 2; 3; 4; 5 ], 40, 120, 38, [| 32; 8 |]);
+    ]
+    (fun g -> Model.run_rounds (Protocols.Two_round_mis.protocol ~n:(G.n g) ()) g)
+
+let test_r2_identity_mm () =
+  check_identity mm_t ~seed:14 ~coins:400
+    [
+      ( [ (0, 12); (1, 2); (3, 8); (4, 5); (6, 7); (9, 13); (10, 17); (11, 14); (18, 19) ],
+        56, 928, 172, [| 48; 8 |] );
+      ( [ (0, 21); (1, 13); (2, 3); (4, 23); (5, 11); (6, 19); (7, 14); (8, 9); (10, 24);
+          (16, 29); (18, 20); (22, 31) ],
+        64, 1136, 232, [| 56; 8 |] );
+      ([ (0, 1); (2, 3); (4, 5); (6, 7); (8, 9); (10, 11); (12, 13) ], 32, 480, 135, [| 24; 8 |]);
+      ([ (0, 1); (2, 3); (4, 5); (6, 7) ], 40, 320, 80, [| 32; 8 |]);
+      ([ (0, 1) ], 40, 160, 30, [| 32; 8 |]);
+    ]
+    (fun g -> Model.run_rounds (Protocols.Two_round_mm.protocol ~n:(G.n g) ()) g)
 
 (* ---- Engine accounting invariants ---- *)
 
@@ -117,7 +193,7 @@ let test_max_rounds_guard () =
   in
   checkb "exceeding max_rounds raises" true
     (try
-       ignore (MP.run never (Dgraph.Gen.cycle 4) (PC.create 1));
+       ignore (Model.run_rounds never (Dgraph.Gen.cycle 4) (PC.create 1));
        false
      with Failure _ -> true)
 
@@ -261,8 +337,59 @@ let test_stream_matching_pass_budget () =
 
 (* ---- Properties ---- *)
 
+(* The engine's accounting identities, which every run must satisfy. *)
+let accounting_holds (s : MP.stats) =
+  let sum = Array.fold_left ( + ) 0 in
+  let curves = [ s.MP.round_max; s.MP.round_total; s.MP.round_broadcast ] in
+  List.for_all (fun c -> Array.length c = s.MP.rounds) curves
+  && sum s.MP.round_total = s.MP.total_bits
+  && sum s.MP.round_broadcast = s.MP.broadcast_bits
+  && Array.fold_left max 0 s.MP.round_max <= s.MP.max_bits
+  && s.MP.max_bits <= sum s.MP.round_max
+
+(* A random simulate input: gnp, or a k-uniform hypergraph (which only
+   the hypergraph protocols accept). *)
+let gen_gspec =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun n p -> Server.Simulate.Gnp { n; p = float_of_int p /. 10. }) (int_range 0 30)
+          (int_range 0 6);
+        int_range 3 24 >>= fun n ->
+        map2
+          (fun m k -> Server.Simulate.Hyperk { n; m; k })
+          (int_range 0 30) (int_range 2 (min 4 n));
+      ])
+
+let arb_input =
+  QCheck.make
+    ~print:(fun (g, seed) ->
+      Printf.sprintf "%s seed=%d"
+        (Report.Tabular.string_of_json (Server.Simulate.json_of_gspec g)) seed)
+    QCheck.Gen.(pair gen_gspec (int_range 0 10_000))
+
 let qcheck_tests =
   [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"accounting identities: every catalogue protocol" ~count:40
+         arb_input
+         (fun (graph, seed) ->
+           List.for_all
+             (fun (e : Server.Simulate.entry) ->
+               let spec = { Server.Simulate.protocol = e.name; graph; seed } in
+               (not (Server.Simulate.compatible ~protocol:e.name graph))
+               ||
+               match (e.run spec).Server.Simulate.cost with
+               | Server.Simulate.Per_round s -> accounting_holds s
+               | Server.Simulate.Per_pass _ -> true)
+             Server.Simulate.catalogue));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"accounting identities: bcc-mm" ~count:25
+         QCheck.(pair (int_range 1 40) (int_range 0 10000))
+         (fun (n, seed) ->
+           let g = Dgraph.Gen.gnp (Stdx.Prng.create seed) n 0.2 in
+           let _, s = Protocols.Bcc_mm.run g (PC.create (seed + 1)) in
+           accounting_holds s && s.MP.broadcast_bits = 0));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"frontier MIS maximal for any (n, seed, r)" ~count:60
          QCheck.(triple (int_range 1 30) (int_range 0 10000) (int_range 1 5))
@@ -296,11 +423,12 @@ let () =
     [
       ( "engine",
         [
-          Alcotest.test_case "r=1 identity (trivial mis)" `Quick test_of_one_round_identity;
-          Alcotest.test_case "r=1 identity (local minima)" `Quick
-            test_of_one_round_identity_mis_protocol;
-          Alcotest.test_case "r=2 identity (two-round mis)" `Quick test_of_two_round_identity_mis;
-          Alcotest.test_case "r=2 identity (two-round mm)" `Quick test_of_two_round_identity_mm;
+          Alcotest.test_case "pinned bits (simulate catalogue)" `Quick test_pinned_catalogue;
+          Alcotest.test_case "pinned bits (bcc-mm on D_MM)" `Quick test_pinned_bcc_mm;
+          Alcotest.test_case "r=1 identity (trivial mis)" `Quick test_r1_identity_trivial_mis;
+          Alcotest.test_case "r=1 identity (local minima)" `Quick test_r1_identity_local_minima;
+          Alcotest.test_case "r=2 identity (two-round mis)" `Quick test_r2_identity_mis;
+          Alcotest.test_case "r=2 identity (two-round mm)" `Quick test_r2_identity_mm;
           Alcotest.test_case "stats consistency" `Quick test_stats_consistency;
           Alcotest.test_case "max_rounds guard" `Quick test_max_rounds_guard;
         ] );

@@ -20,8 +20,8 @@ let test_local_minima_always_independent () =
 let test_local_minima_one_bit () =
   let g = Dgraph.Gen.gnp (Stdx.Prng.create 2) 50 0.3 in
   let _, stats = Model.run OR.local_minima g (PC.create 3) in
-  checki "exactly one bit per player" 1 stats.Model.max_bits;
-  checki "total = n" 50 stats.Model.total_bits
+  checki "exactly one bit per player" 1 stats.Sketchmodel.Rounds.max_bits;
+  checki "total = n" 50 stats.Sketchmodel.Rounds.total_bits
 
 let test_local_minima_rarely_maximal () =
   (* On paths (sparse), local minima leave a constant fraction
@@ -58,7 +58,7 @@ let test_budgeted_zero_claims_everything () =
      only on empty graphs — the "not independent" error mode. *)
   let g = Dgraph.Gen.cycle 6 in
   let set, stats = Model.run (OR.budgeted ~budget_bits:0) g (PC.create 7) in
-  checki "no bits" 0 stats.Model.max_bits;
+  checki "no bits" 0 stats.Sketchmodel.Rounds.max_bits;
   checki "claims all" 6 (List.length set);
   checkb "not independent" false (Dgraph.Mis.is_independent g set)
 
@@ -75,7 +75,7 @@ let test_budgeted_budget_respected () =
   List.iter
     (fun b ->
       let _, stats = Model.run (OR.budgeted ~budget_bits:b) g (PC.create 10) in
-      checkb (Printf.sprintf "b=%d" b) true (stats.Model.max_bits <= b))
+      checkb (Printf.sprintf "b=%d" b) true (stats.Sketchmodel.Rounds.max_bits <= b))
     [ 0; 8; 33; 128 ]
 
 let test_budgeted_error_modes_tracked () =

@@ -35,7 +35,8 @@ let test_trivial_cost_scales_with_degree () =
   let sparse = random_graph 4 200 0.02 and dense = random_graph 4 200 0.5 in
   let _, s1 = Model.run Protocols.Trivial.mm sparse (PC.create 2) in
   let _, s2 = Model.run Protocols.Trivial.mm dense (PC.create 2) in
-  checkb "dense costs much more" true (s2.Model.max_bits > 5 * s1.Model.max_bits)
+  checkb "dense costs much more" true
+    (s2.Sketchmodel.Rounds.max_bits > 5 * s1.Sketchmodel.Rounds.max_bits)
 
 let test_sampled_budget_respected () =
   let g = random_graph 5 100 0.4 in
@@ -49,7 +50,7 @@ let test_sampled_budget_respected () =
             (Printf.sprintf "b=%d %s within budget" budget
                (Protocols.Sampled_mm.strategy_name strategy))
             true
-            (stats.Model.max_bits <= budget))
+            (stats.Sketchmodel.Rounds.max_bits <= budget))
         Protocols.Sampled_mm.all_strategies)
     [ 0; 8; 17; 64; 256 ]
 
@@ -81,7 +82,7 @@ let test_sampled_zero_budget () =
     Protocols.Sampled_mm.protocol ~budget_bits:0 ~strategy:Protocols.Sampled_mm.Uniform
   in
   let output, stats = Model.run protocol g (PC.create 6) in
-  checki "no bits" 0 stats.Model.max_bits;
+  checki "no bits" 0 stats.Sketchmodel.Rounds.max_bits;
   checki "empty output" 0 (List.length output)
 
 let test_two_round_mm_always_maximal () =
@@ -121,7 +122,7 @@ let test_two_round_round1_capped () =
   (* cap_factor 1.0: round-1 ships at most ceil(sqrt(100)) = 10 neighbour
      ids; each id is at most 2 varint bytes plus the list length prefix. *)
   let _, stats = Protocols.Two_round_mm.run g (PC.create 12) in
-  checkb "round1 bounded by cap" true (stats.Sketchmodel.Rounds.round1_max <= (11 * 16) + 16)
+  checkb "round1 bounded by cap" true (Sketchmodel.Rounds.round1_max stats <= (11 * 16) + 16)
 
 let test_two_round_cost_sublinear () =
   (* On dense graphs the two-round protocols beat the trivial one by a
@@ -131,7 +132,7 @@ let test_two_round_cost_sublinear () =
   let _, trivial = Model.run Protocols.Trivial.mm g coins in
   let _, mm2 = Protocols.Two_round_mm.run g coins in
   checkb "2-round much cheaper on dense input" true
-    (3 * mm2.Sketchmodel.Rounds.max_bits < trivial.Model.max_bits)
+    (3 * mm2.Sketchmodel.Rounds.max_bits < trivial.Sketchmodel.Rounds.max_bits)
 
 let qcheck_tests =
   [
@@ -166,7 +167,7 @@ let qcheck_tests =
                ~strategy:Protocols.Sampled_mm.Uniform
            in
            let _, stats = Model.run protocol g (PC.create seed) in
-           stats.Model.max_bits <= budget));
+           stats.Sketchmodel.Rounds.max_bits <= budget));
   ]
 
 let () =

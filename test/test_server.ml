@@ -200,7 +200,13 @@ let test_service_list () =
       checkb "catalogue matches registry" true
         (List.length ids = List.length (Core.Exp_all.all ()));
       match T.member "protocols" j with
-      | Some (T.Jarr ps) -> checki "protocol catalogue" (List.length Server.Simulate.protocols) (List.length ps)
+      | Some (T.Jarr ps) ->
+          Alcotest.(check (list string))
+            "protocol catalogue"
+            (List.map (fun (e : Server.Simulate.entry) -> e.name) Server.Simulate.catalogue)
+            (List.filter_map
+               (fun p -> match T.member "name" p with Some (T.Jstr s) -> Some s | _ -> None)
+               ps)
       | _ -> Alcotest.fail "no protocols field")
 
 let test_service_errors () =
@@ -232,9 +238,9 @@ let test_service_errors () =
          lsub = 0 || go 0
        in
        List.iter
-         (fun (name, _) ->
-           checkb ("unknown-protocol msg lists " ^ name) true (contains msg name))
-         Server.Simulate.protocols);
+         (fun (e : Server.Simulate.entry) ->
+           checkb ("unknown-protocol msg lists " ^ e.name) true (contains msg e.name))
+         Server.Simulate.catalogue);
       expect "bad graph"
         [ ("op", T.Jstr "simulate");
           ("protocol", T.Jstr "trivial-mm");
@@ -275,99 +281,58 @@ let test_service_seed_precedence () =
       | Some params -> checkb "explicit seed beats smoke" true (T.member "seed" params = Some (T.Jint 3))
       | None -> Alcotest.fail "no params echoed")
 
-(* The acceptance pin: a served simulate response reports exactly the
-   max_bits/total_bits an in-process run of the same (protocol, graph,
-   coins) triple produces — the service adds caching and transport,
-   never arithmetic. *)
+(* The acceptance pin: a served simulate response reports exactly what an
+   in-process run of the same catalogue entry (protocol, graph, coins)
+   produces — the service adds caching and transport, never arithmetic.
+   Every round-based protocol answers with the one engine stats shape;
+   stream-matching answers with its pass stats. *)
 let test_service_simulate_bits () =
   with_service (fun t ->
       let gspec = Server.Simulate.Gnp { n = 40; p = 0.15 } in
       let seed = 11 in
+      let round_fields =
+        [ "rounds"; "max_bits"; "total_bits"; "broadcast_bits"; "round_max"; "round_total";
+          "round_broadcast" ]
+      in
       List.iter
-        (fun (protocol, _) ->
-          let spec = { Server.Simulate.protocol; graph = gspec; seed } in
-          let g = Server.Simulate.graph_of_spec spec in
-          let coins = Server.Simulate.coins seed in
-          let multipass_bits (s : Multipass.Rounds.stats) =
-            (s.Multipass.Rounds.max_bits, s.Multipass.Rounds.total_bits)
-          in
-          let expect_max, expect_total =
-            match protocol with
-            | "trivial-mm" ->
-                let _, s = Sketchmodel.Model.run Protocols.Trivial.mm g coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
-            | "trivial-mis" ->
-                let _, s = Sketchmodel.Model.run Protocols.Trivial.mis g coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
-            | "local-minima" ->
-                let _, s = Sketchmodel.Model.run Protocols.One_round_mis.local_minima g coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
-            | "two-round-mm" ->
-                let _, s = Protocols.Two_round_mm.run g coins in
-                (s.Sketchmodel.Rounds.max_bits, s.Sketchmodel.Rounds.total_bits)
-            | "two-round-mis" ->
-                let _, s = Protocols.Two_round_mis.run g coins in
-                (s.Sketchmodel.Rounds.max_bits, s.Sketchmodel.Rounds.total_bits)
-            | "hyper-trivial-mm" ->
-                let h = Server.Simulate.hypergraph_of_spec spec in
-                let _, s = Protocols.Hyper_mm.run_trivial h coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
-            | "hyper-iterated-mm" ->
-                let h = Server.Simulate.hypergraph_of_spec spec in
-                let _, s = Protocols.Hyper_mm.run_iterated h coins in
-                (s.Protocols.Hyper_views.max_bits, s.Protocols.Hyper_views.total_bits)
-            | "hyper-local-minima-mis" ->
-                let h = Server.Simulate.hypergraph_of_spec spec in
-                let _, s = Protocols.Hyper_mis.run_local_minima h coins in
-                (s.Sketchmodel.Model.max_bits, s.Sketchmodel.Model.total_bits)
-            | "hyper-luby-mis" ->
-                let h = Server.Simulate.hypergraph_of_spec spec in
-                let _, s = Protocols.Hyper_mis.run_luby h coins in
-                (s.Protocols.Hyper_views.max_bits, s.Protocols.Hyper_views.total_bits)
-            | "prefix-mis-r4" ->
-                let _, s = Multipass.Frontier.run ~rounds:4 g coins in
-                multipass_bits s
-            | "luby-mis-random" ->
-                let _, s = Multipass.Luby.run Multipass.Luby.Random g coins in
-                multipass_bits s
-            | "luby-mis-degree" ->
-                let _, s = Multipass.Luby.run Multipass.Luby.Degree g coins in
-                multipass_bits s
-            | "luby-mis-index" ->
-                let _, s = Multipass.Luby.run Multipass.Luby.Index g coins in
-                multipass_bits s
-            | "stream-matching" ->
-                (* Pass accounting, not bit accounting: checked below
-                   against peak_memory_bits/passes instead. *)
-                (-1, -1)
-            | p -> Alcotest.fail ("catalogue grew a protocol the test does not know: " ^ p)
-          in
+        (fun (e : Server.Simulate.entry) ->
+          let spec = { Server.Simulate.protocol = e.name; graph = gspec; seed } in
+          let local = e.run spec in
           let j =
             json t
               [
                 ("op", T.Jstr "simulate");
-                ("protocol", T.Jstr protocol);
+                ("protocol", T.Jstr e.name);
                 ("graph", Server.Simulate.json_of_gspec gspec);
                 ("seed", T.Jint seed);
               ]
           in
-          checkb (protocol ^ " ok") true (is_ok j);
-          match T.member "stats" j with
-          | Some stats when protocol = "stream-matching" ->
-              let stream = Streams.Stream.shuffled (Server.Simulate.stream_rng seed) g in
-              let res = Multipass.Stream_matching.run ~eps:0.25 stream in
-              checkb (protocol ^ " passes") true
+          checkb (e.name ^ " ok") true (is_ok j);
+          checkb (e.name ^ " vertices") true
+            (T.member "vertices" j = Some (T.Jint local.Server.Simulate.vertices));
+          checkb (e.name ^ " output") true
+            (T.member "output" j = Some local.Server.Simulate.output);
+          match (T.member "stats" j, local.Server.Simulate.cost) with
+          | Some stats, Server.Simulate.Per_round s ->
+              checks (e.name ^ " one stats shape") (String.concat "," round_fields)
+                (match stats with
+                | T.Jobj fields -> String.concat "," (List.map fst fields)
+                | _ -> "");
+              checkb (e.name ^ " max_bits") true
+                (T.member "max_bits" stats = Some (T.Jint s.Sketchmodel.Rounds.max_bits));
+              checkb (e.name ^ " total_bits") true
+                (T.member "total_bits" stats = Some (T.Jint s.Sketchmodel.Rounds.total_bits));
+              checkb (e.name ^ " stats") true
+                (stats = Server.Simulate.stats_json local.Server.Simulate.cost)
+          | Some stats, Server.Simulate.Per_pass res ->
+              checkb (e.name ^ " passes") true
                 (T.member "passes" stats
                 = Some (T.Jint (List.length res.Multipass.Stream_matching.passes)));
-              checkb (protocol ^ " peak_memory_bits") true
+              checkb (e.name ^ " peak_memory_bits") true
                 (T.member "peak_memory_bits" stats
                 = Some (T.Jint res.Multipass.Stream_matching.peak_memory_bits))
-          | Some stats ->
-              checkb (protocol ^ " max_bits") true (T.member "max_bits" stats = Some (T.Jint expect_max));
-              checkb (protocol ^ " total_bits") true
-                (T.member "total_bits" stats = Some (T.Jint expect_total))
-          | None -> Alcotest.fail (protocol ^ ": no stats field"))
-        Server.Simulate.protocols)
+          | None, _ -> Alcotest.fail (e.name ^ ": no stats field"))
+        Server.Simulate.catalogue)
 
 (* Cached replay of a hyperk simulate: the second request must be served
    from the LRU byte-for-byte, so the hypergraph pipeline (sampling,

@@ -62,10 +62,10 @@ let test_run_accounting () =
   let g = G.empty 4 in
   let total, stats = Model.run counting_protocol g (PC.create 0) in
   checki "referee sees all bits" 10 total;
-  checki "max = biggest player" 4 stats.Model.max_bits;
-  checki "total" 10 stats.Model.total_bits;
-  checki "players" 4 stats.Model.players;
-  checkb "avg" true (abs_float (stats.Model.avg_bits -. 2.5) < 1e-9)
+  checki "max = biggest player" 4 stats.Sketchmodel.Rounds.max_bits;
+  checki "total" 10 stats.Sketchmodel.Rounds.total_bits;
+  checki "players" 4 stats.Sketchmodel.Rounds.players;
+  checkb "avg" true (abs_float (Rounds.avg_bits stats -. 2.5) < 1e-9)
 
 let test_run_views_custom () =
   (* The augmented-model entry point: more players than vertices. *)
@@ -86,7 +86,7 @@ let test_run_views_custom () =
   let (n, player_count), stats = Model.run_views proto ~n:3 views (PC.create 1) in
   checki "n" 3 n;
   checki "players" 6 player_count;
-  checki "total bits" 6 stats.Model.total_bits
+  checki "total bits" 6 stats.Sketchmodel.Rounds.total_bits
 
 let test_success_rate () =
   Alcotest.(check (float 1e-9)) "always true" 1.
@@ -111,31 +111,31 @@ let test_success_rate_fresh_coins () =
 let two_round_fixture =
   {
     Rounds.name = "fixture";
-    round1 =
-      (fun _ _ ->
+    max_rounds = 2;
+    init = (fun ~n:_ _ -> 0);
+    player =
+      (fun ~round (view : Model.view) _ _ ->
         let w = W.create () in
-        W.bits w 3 ~width:2;
+        if round = 1 then W.bits w 3 ~width:2
+        else if view.Model.vertex mod 2 = 0 then W.bits w 7 ~width:3;
         w);
-    decide = (fun ~n ~sketches _ -> ignore sketches; n);
+    referee =
+      (fun ~round ~n ~state ~sketches _ ->
+        ignore sketches;
+        if round = 1 then Rounds.Continue n else Rounds.Finish (n + state));
     encode_broadcast =
       (fun b ->
         let w = W.create () in
         W.bits w (b land 31) ~width:5;
         w);
-    round2 =
-      (fun view _ _ ->
-        let w = W.create () in
-        if view.Model.vertex mod 2 = 0 then W.bits w 7 ~width:3;
-        w);
-    finish = (fun ~n ~broadcast ~sketches _ -> ignore sketches; n + broadcast);
   }
 
 let test_two_round_accounting () =
   let g = G.empty 5 in
-  let out, stats = Rounds.run two_round_fixture g (PC.create 7) in
+  let out, stats = Model.run_rounds two_round_fixture g (PC.create 7) in
   checki "finish ran" 10 out;
-  checki "round1 max" 2 stats.Rounds.round1_max;
-  checki "round2 max" 3 stats.Rounds.round2_max;
+  checki "round1 max" 2 (Rounds.round1_max stats);
+  checki "round2 max" 3 (Rounds.round2_max stats);
   checki "per player max = 5" 5 stats.Rounds.max_bits;
   checki "broadcast" 5 stats.Rounds.broadcast_bits;
   (* totals: 5 players * 2 bits + 3 even vertices * 3 bits *)
@@ -174,8 +174,8 @@ let test_zero_players () =
   let (n, players), stats = Model.run_views proto ~n:5 [||] (PC.create 1) in
   checki "n still passed" 5 n;
   checki "no players" 0 players;
-  checki "no bits" 0 stats.Model.total_bits;
-  checkb "avg is zero, not NaN" true (stats.Model.avg_bits = 0.)
+  checki "no bits" 0 stats.Sketchmodel.Rounds.total_bits;
+  checkb "avg is zero, not NaN" true (Rounds.avg_bits stats = 0.)
 
 let test_player_isolation () =
   (* A player only gets its own view: check the runner passes the right
@@ -223,13 +223,13 @@ let test_schedule_independence () =
       let out, stats = Model.run_views ~schedule protocol ~n:(G.n g) views coins in
       Alcotest.(check (list (pair int int)))
         "output independent of sketch order" reference_out out;
-      checki "max_bits independent of sketch order" reference_stats.Model.max_bits
-        stats.Model.max_bits;
-      checki "total_bits independent of sketch order" reference_stats.Model.total_bits
-        stats.Model.total_bits)
+      checki "max_bits independent of sketch order" reference_stats.Sketchmodel.Rounds.max_bits
+        stats.Sketchmodel.Rounds.max_bits;
+      checki "total_bits independent of sketch order" reference_stats.Sketchmodel.Rounds.total_bits
+        stats.Sketchmodel.Rounds.total_bits)
     [ 1; 2; 3; 4 ];
   Alcotest.check_raises "non-permutation schedule rejected"
-    (Invalid_argument "Model.run_views: schedule is not a permutation of the players")
+    (Invalid_argument "Rounds.run_views: schedule is not a permutation of the players")
     (fun () ->
       ignore (Model.run_views ~schedule:(Array.make (G.n g) 0) protocol ~n:(G.n g) views coins))
 
