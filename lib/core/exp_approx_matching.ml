@@ -84,5 +84,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("n", R.Vints [ 16 ]); ("budgets", R.Vints [ 16 ]); ("trials", R.Vint 2) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

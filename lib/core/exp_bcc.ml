@@ -103,5 +103,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("m", R.Vints [ 10; 25 ]); ("trials", R.Vint 10); ("seed", R.Vint 67) ]
     let smoke = [ ("m", R.Vints [ 4 ]); ("trials", R.Vint 2) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -72,5 +72,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("m", R.Vints [ 10; 30; 100; 300; 1000; 3000; 10000 ]) ]
     let smoke = [ ("m", R.Vints [ 10; 25 ]) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -77,5 +77,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("m", R.Vints [ 10; 25; 50; 100; 200; 400 ]) ]
     let smoke = [ ("m", R.Vints [ 5; 20 ]) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -76,5 +76,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("halves", R.Vints [ 12 ]); ("samples", R.Vints [ 2 ]); ("trials", R.Vint 2) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

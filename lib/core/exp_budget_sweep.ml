@@ -247,6 +247,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("m", R.Vint 4); ("budgets", R.Vints [ 8 ]); ("trials", R.Vint 2) ]
   end)
-
-let table_of sweep =
-  T.table ~preamble:(preamble_of sweep) schema (List.map to_row (rows_of_sweep sweep))

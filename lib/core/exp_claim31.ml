@@ -141,5 +141,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("m", R.Vints [ 5 ]); ("samples", R.Vint 3); ("seed", R.Vint 1) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -89,5 +89,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("n", R.Vints [ 256; 512; 1024; 2048 ]); ("seed", R.Vint 19) ]
     let smoke = [ ("n", R.Vints [ 32 ]); ("seed", R.Vint 19) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -93,5 +93,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("seed", R.Vint 43) ]
     let smoke = [ ("seed", R.Vint 43) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

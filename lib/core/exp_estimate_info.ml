@@ -123,5 +123,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("bits", R.Vints [ 3 ]); ("samples", R.Vint 40) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

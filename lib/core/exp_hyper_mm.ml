@@ -126,5 +126,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("k", R.Vints [ 2; 3; 4 ]); ("seed", R.Vint 71) ]
     let smoke = [ ("n", R.Vint 12); ("m", R.Vint 8); ("k", R.Vints [ 3 ]); ("seed", R.Vint 71) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

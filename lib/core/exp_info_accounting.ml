@@ -82,5 +82,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("bits", R.Vints [ 0; 2; 4; 6; 10 ]) ]
     let smoke = [ ("bits", R.Vints [ 2 ]) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -94,5 +94,3 @@ let experiment : R.experiment =
     let smoke =
       [ ("m", R.Vint 4); ("k", R.Vints [ 2 ]); ("budgets", R.Vints [ 8 ]); ("trials", R.Vint 2) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -72,5 +72,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("m", R.Vints [ 4 ]); ("tries", R.Vint 120) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

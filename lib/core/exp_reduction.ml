@@ -123,5 +123,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("m", R.Vints [ 5; 10; 25 ]); ("samples", R.Vint 10); ("seed", R.Vint 23) ]
     let smoke = [ ("m", R.Vints [ 4 ]); ("samples", R.Vint 2) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -128,5 +128,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("m", R.Vints [ 4 ]); ("rounds", R.Vints [ 1; 2 ]); ("seed", R.Vint 53) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

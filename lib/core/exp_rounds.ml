@@ -86,5 +86,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("m", R.Vints [ 10; 25; 50 ]); ("seed", R.Vint 47) ]
     let smoke = [ ("m", R.Vints [ 4 ]); ("seed", R.Vint 47) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -66,5 +66,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("m", R.Vints [ 5; 10; 25; 50; 100; 200 ]) ]
     let smoke = [ ("m", R.Vints [ 3; 6 ]) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -80,6 +80,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("m", R.Vint 25); ("samples", R.Vint 40); ("seed", R.Vint 71) ]
     let smoke = [ ("m", R.Vint 4); ("samples", R.Vint 4); ("jobs", R.Vint 2) ]
   end)
-
-let table_of ~m ~samples rows =
-  T.table ~preamble:(preamble_of ~m ~samples) schema (List.map to_row rows)

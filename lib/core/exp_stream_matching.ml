@@ -114,5 +114,3 @@ let experiment : R.experiment =
 
     let smoke = [ ("n", R.Vints [ 16 ]); ("eps", R.Vints [ 50 ]); ("seed", R.Vint 59) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -79,5 +79,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("n", R.Vints [ 24; 48; 96 ]); ("seed", R.Vint 41) ]
     let smoke = [ ("n", R.Vints [ 16 ]); ("seed", R.Vint 41) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -133,5 +133,3 @@ let experiment : R.experiment =
     let full_overrides = [ ("n", R.Vints [ 64; 128; 256 ]); ("seed", R.Vint 3) ]
     let smoke = [ ("n", R.Vints [ 24; 32 ]); ("seed", R.Vint 3) ]
   end)
-
-let table_of rows = T.table ~preamble ~footer:(footer rows) schema (List.map to_row rows)

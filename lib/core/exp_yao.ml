@@ -93,5 +93,3 @@ let experiment : R.experiment =
     let smoke =
       [ ("m", R.Vint 4); ("budgets", R.Vints [ 16 ]); ("instances", R.Vint 2); ("seeds", R.Vint 2) ]
   end)
-
-let table_of rows = T.table ~preamble schema (List.map to_row rows)

@@ -1,7 +1,8 @@
-(* Columnar freeze primitives shared by every store instance: key
-   sorting, adjacent deduplication, and CSR index fills. Everything here
-   is allocation-disciplined plain-int-array code — the hot interior of
-   [Store.freeze] and [Dgraph.Graph.of_keys]. *)
+(* Columnar freeze primitives shared by the graph and hypergraph
+   freezes: key sorting, adjacent deduplication, and CSR index fills.
+   Everything here is allocation-disciplined plain-int-array code — the
+   hot interior of [Dgraph.Graph.of_keys] and
+   [Dgraph.Hypergraph.Builder.freeze]. *)
 
 let int_compare (a : int) b = compare a b
 
@@ -113,32 +114,9 @@ let neighbor_csr ~n ~eu ~ev =
   done;
   (row_start, col)
 
-(* Incidence CSR of a fixed column: for each codomain element, the domain
-   elements mapping to it, ascending (scatter in domain order). *)
-let incidence_of_fixed ~cod_count vals =
-  let dom_count = Array.length vals in
-  let row = Array.make (cod_count + 1) 0 in
-  for i = 0 to dom_count - 1 do
-    row.(vals.(i) + 1) <- row.(vals.(i) + 1) + 1
-  done;
-  for v = 1 to cod_count do
-    row.(v) <- row.(v) + row.(v - 1)
-  done;
-  let ids = Array.make dom_count 0 in
-  let cursor =
-    Stdx.Scratch.dirty_ints (Stdx.Scratch.domain ()) "cset.incidence-fixed-cursor"
-      (max cod_count 1)
-  in
-  Array.blit row 0 cursor 0 (max cod_count 1);
-  for i = 0 to dom_count - 1 do
-    let v = vals.(i) in
-    ids.(cursor.(v)) <- i;
-    cursor.(v) <- cursor.(v) + 1
-  done;
-  (row, ids)
-
-(* Incidence CSR of a variable column: one entry per (row, value)
-   occurrence, domain ids ascending within each codomain row. *)
+(* Incidence CSR of a segment CSR (e.g. hyperedge -> pins): one entry
+   per (segment, value) occurrence, segment ids ascending within each
+   value's row (scatter in segment order). *)
 let incidence_of_segments ~cod_count ~seg_row ~seg_val =
   let dom_count = Array.length seg_row - 1 in
   let total = Array.length seg_val in

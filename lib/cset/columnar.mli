@@ -2,7 +2,7 @@
     CSR index fills.
 
     These are the allocation-disciplined interior loops of
-    {!Store.freeze} (and, through it, [Dgraph.Graph.of_keys]): plain int
+    [Dgraph.Graph.of_keys] and [Dgraph.Hypergraph.Builder.freeze]: plain int
     arrays in, plain int arrays out, no closures on the hot paths. Their
     internal scratch (the radix sort's swap buffer and byte counters,
     the CSR fills' write cursors) is borrowed from the per-domain
@@ -38,12 +38,9 @@ val neighbor_csr : n:int -> eu:int array -> ev:int array -> int array * int arra
     [row_start] has length [n+1], each row of [col] is sorted ascending.
     One counting pass, one prefix sum, one scatter — no per-row sort. *)
 
-val incidence_of_fixed : cod_count:int -> int array -> int array * int array
-(** [(row_start, dom_ids)] of a fixed column's incidence index: for each
-    codomain element, the domain elements mapping to it, ascending. *)
-
 val incidence_of_segments :
   cod_count:int -> seg_row:int array -> seg_val:int array -> int array * int array
-(** Incidence index of a variable column ([seg_row]/[seg_val] CSR over
-    domain elements): one entry per (row, value) occurrence, domain ids
-    ascending within each codomain row. *)
+(** [(row_start, ids)] of the incidence index of a segment CSR
+    ([seg_row]/[seg_val], e.g. hyperedge → pins): for each value in
+    [\[0, cod_count)], the ids of the segments holding it, ascending,
+    one entry per (segment, value) occurrence. *)

@@ -47,8 +47,6 @@ let of_buffer params buf off =
     invalid_arg "L0_sampler.of_buffer: region out of bounds";
   { params; buf; off }
 
-let reset sketch = Array.fill sketch.buf sketch.off (size_words sketch.params) 0
-
 let zero_like sketch = create sketch.params
 
 let level_off sketch level = sketch.off + (level * Sparse_recovery.words sketch.params.sparse)
@@ -68,14 +66,6 @@ let add_into ~dst src =
       (level_off src level)
   done
 
-let combine a b =
-  if a.params != b.params && a.params <> b.params then invalid_arg "L0_sampler.combine";
-  let c =
-    { params = a.params; buf = Array.sub a.buf a.off (size_words a.params); off = 0 }
-  in
-  add_into ~dst:c b;
-  c
-
 let decoded_levels sketch =
   (* Deepest-first: deeper levels are sparser and decode more reliably, but
      may be empty; scanning from the top finds the sparsest nonempty one. *)
@@ -87,8 +77,6 @@ let decoded_levels sketch =
       | Some [] | None -> scan (level - 1)
   in
   scan (sketch.params.levels - 1)
-
-let support_hint sketch = Option.value ~default:[] (decoded_levels sketch)
 
 let decode sketch =
   match decoded_levels sketch with
@@ -117,17 +105,8 @@ let read_into params buf off r =
   done;
   sketch
 
-let read params r =
-  let sketch = create params in
-  read_into params sketch.buf sketch.off r
-
 let scratch_copy arena key src =
   let len = size_words src.params in
   let buf = Stdx.Scratch.dirty_ints arena key len in
   Array.blit src.buf src.off buf 0 len;
   { params = src.params; buf; off = 0 }
-
-let size_bits sketch =
-  let w = Stdx.Bitbuf.Writer.create () in
-  write sketch w;
-  Stdx.Bitbuf.Writer.length_bits w

@@ -46,30 +46,20 @@ val of_buffer : params -> int array -> int -> t
     prior state it intends to continue); the sampler aliases it — no
     copy. Raises [Invalid_argument] when the region overruns [buf]. *)
 
-val reset : t -> unit
-(** Zero the sampler's region in place — back to the zero vector
-    without allocating. The arena-reuse reset. *)
-
 val zero_like : t -> t
 (** A fresh zero sampler with the same parameters (own buffer). *)
 
 val update : t -> int -> int -> unit
-val combine : t -> t -> t
 
 val add_into : dst:t -> t -> unit
-(** [add_into ~dst src] adds [src]'s vector into [dst] in place — the
-    allocation-free {!combine}, used by the spanning-forest referee's
+(** [add_into ~dst src] adds [src]'s vector into [dst] in place,
+    without allocating — used by the spanning-forest referee's
     arena-backed component accumulators. Both samplers must share
     params; their regions must not overlap. *)
 
 val decode : t -> (int * int) option
 (** [Some (index, weight)] for some nonzero coordinate, or [None] if the
     vector is zero or every level fails (rare). *)
-
-val support_hint : t -> (int * int) list
-(** All coordinates recovered by the deepest successfully-decoded level —
-    more than one when the vector is sparse. Used opportunistically by the
-    spanning-forest referee. *)
 
 val scratch_copy : Stdx.Scratch.t -> string -> t -> t
 (** [scratch_copy arena key src] borrows [size_words] ints from [arena]
@@ -79,13 +69,9 @@ val scratch_copy : Stdx.Scratch.t -> string -> t -> t
     next component) invalidates the previous copy. *)
 
 val write : t -> Stdx.Bitbuf.Writer.t -> unit
-val read : params -> Stdx.Bitbuf.Reader.t -> t
 
 val read_into : params -> int array -> int -> Stdx.Bitbuf.Reader.t -> t
 (** [read_into params buf off r] deserialises one sampler into the
     caller-owned region at [buf.(off ..)] (every slot overwritten — a
     dirty arena borrow is fine) and returns the region's sampler view.
-    Bit-identical input format to {!read}. *)
-
-val size_bits : t -> int
-(** Serialised size of this sketch in bits. *)
+    Reads exactly what {!write} wrote. *)

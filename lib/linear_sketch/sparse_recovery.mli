@@ -15,8 +15,8 @@
     the [_at] operations act on such a region at a given offset.
     {!L0_sampler} packs its levels this way into one flat buffer, and
     players keep whole stacks of samplers in single {!Stdx.Scratch}
-    arena buffers. The boxed {!t} owns a private region and is
-    bit-identical to the flat layer. *)
+    arena buffers. The abstract {!t} owns a private region and drives
+    the same [_at] operations. *)
 
 type params
 
@@ -33,8 +33,8 @@ val update_at : params -> int array -> int -> int -> int -> unit
     sketch region at [buf.(off .. off + words params - 1)]. *)
 
 val add_at : params -> dst:int array -> int -> src:int array -> int -> unit
-(** In-place {!combine}: add the sketch region at [src.(soff ..)] into
-    the one at [dst.(doff ..)] cell by cell. *)
+(** Linear combination in place: add the sketch region at
+    [src.(soff ..)] into the one at [dst.(doff ..)] cell by cell. *)
 
 val decode_at : params -> int array -> int -> (int * int) list option
 (** Decode the region at [off] by peeling (see {!decode}). Works on a
@@ -44,8 +44,7 @@ val decode_at : params -> int array -> int -> (int * int) list option
     key across the call. *)
 
 val write_at : params -> int array -> int -> Stdx.Bitbuf.Writer.t -> unit
-(** Serialise the region's cells row-major — byte-identical to
-    {!write} of the equivalent boxed sketch. *)
+(** Serialise the region's cells row-major. *)
 
 val read_at : params -> int array -> int -> Stdx.Bitbuf.Reader.t -> unit
 (** Deserialise one sketch into the region at [off], overwriting it. *)
@@ -53,17 +52,9 @@ val read_at : params -> int array -> int -> Stdx.Bitbuf.Reader.t -> unit
 type t
 
 val create : params -> t
-
-val zero_like : t -> t
-(** A fresh zero sketch with the same parameters. *)
-
 val update : t -> int -> int -> unit
-val combine : t -> t -> t
 
 val decode : t -> (int * int) list option
 (** [Some assoc] with the exact nonzero coordinates (sorted by index) if
     peeling terminates at zero; [None] when the vector is too dense to
     recover. The input sketch is not modified. *)
-
-val write : t -> Stdx.Bitbuf.Writer.t -> unit
-val read : params -> Stdx.Bitbuf.Reader.t -> t

@@ -170,6 +170,14 @@ let post t f =
 let frame_error ~code ~error msg =
   Printf.sprintf "{\"ok\":false,\"error\":%S,\"code\":%d,\"msg\":%S}" error code msg
 
+(* The handler contract says "never raise"; if one does anyway, answer a
+   500 so the connection's reply order survives. *)
+let failed_reply e =
+  {
+    Service.payload = frame_error ~code:500 ~error:"failed" (Printexc.to_string e);
+    shutdown = false;
+  }
+
 let metric t f = match t.metrics with Some m -> f m | None -> ()
 
 (* ------------------------------------------------------------------ *)
@@ -262,16 +270,8 @@ and dispatch_one t conn =
   conn.busy <- true;
   conn.req_t0 <- Unix.gettimeofday ();
   let k reply = post t (fun () -> on_reply t conn reply) in
-  match t.ahandle ~cancelled:(fun () -> Atomic.get conn.gone) request k with
-  | () -> ()
-  | exception e ->
-      (* The handler contract says "never raise"; if one does anyway,
-         answer a 500 so the connection's reply order survives. *)
-      k
-        {
-          Service.payload = frame_error ~code:500 ~error:"failed" (Printexc.to_string e);
-          shutdown = false;
-        }
+  try t.ahandle ~cancelled:(fun () -> Atomic.get conn.gone) request k
+  with e -> k (failed_reply e)
 
 and on_reply t conn reply =
   if reply.Service.shutdown then locked t (fun () -> t.stopping <- true);
@@ -593,8 +593,11 @@ let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?se
 let start_handler ?host ?port ?on_drain ?service ?metrics ?max_conns ?idle_timeout_s
     ?rate_limit ?keepalive ?(dispatch_threads = 16) ~handle () =
   let dispatch = Dispatch.create ~threads:dispatch_threads in
+  (* The dispatch thread swallows exceptions, so a raise must become the
+     reply here or [k] never runs and the connection stays busy. *)
   let ahandle ~cancelled request k =
-    Dispatch.submit dispatch (fun () -> k (handle ~cancelled request))
+    Dispatch.submit dispatch (fun () ->
+        k (try handle ~cancelled request with e -> failed_reply e))
   in
   start_async ?host ?port ?on_drain ?service ?metrics ?max_conns ?idle_timeout_s
     ?rate_limit ?keepalive ~dispatch ~ahandle ()

@@ -29,7 +29,8 @@ diff "$tmp/plain.txt" "$tmp/traced.txt" >/dev/null \
 
 # The spans the claim31 pipeline must have emitted: the experiment span,
 # the graph-build phases, and the referee verification.
-for span in '"exp.claim31"' '"graph.freeze"' '"claims.check"' '"parallel.chunk"'; do
+for span in '"exp.claim31"' '"graph.freeze"' '"graph.sort"' '"graph.dedup"' '"graph.csr-fill"' \
+  '"claims.check"' '"parallel.chunk"'; do
   grep -q "$span" "$tmp/trace.json" || fail "trace has no $span span"
 done
 grep -q '"traceEvents"' "$tmp/trace.json" || fail "not a Chrome trace_event file"

@@ -1,222 +1,11 @@
-(* Tests for the schema-driven columnar incidence store (lib/cset):
-   schema validation, the Builder == freeze_keys equivalence on the
-   packed (graph-shaped) pipeline, the lexicographic pipeline for
-   variable-arity rows, the incidence-index invariants, and the radix
-   sort's equivalence to [Array.sort]. *)
+(* Tests for the columnar freeze primitives (lib/cset): the radix
+   sort's equivalence to [Array.sort], the distinct-key helpers, and the
+   neighbour CSR fill. The graph and hypergraph freezes built on them
+   are tested in test_graph.ml and test_hypergraph.ml. *)
 
-module Sch = Cset.Schema
-module S = Cset.Store
 module C = Cset.Columnar
 
-let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
-
-let raises_invalid name f =
-  match f () with
-  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
-  | exception Invalid_argument _ -> ()
-
-(* A graph-shaped schema: two fixed indexed columns edge -> vertex. The
-   store packs edge rows into u*n + v keys, exactly the historical graph
-   pipeline. One schema value for the whole file: [S.equal] requires
-   physically-equal schemas. *)
-let graph_schema =
-  Sch.make ~parts:[ "vertex"; "edge" ]
-    ~morphisms:
-      [
-        Sch.fixed ~indexed:true ~dom:"edge" ~cod:"vertex" "src";
-        Sch.fixed ~indexed:true ~dom:"edge" ~cod:"vertex" "dst";
-      ]
-
-let edge_part = Sch.part_index graph_schema "edge"
-let src_m = Sch.morphism_index graph_schema "src"
-let dst_m = Sch.morphism_index graph_schema "dst"
-
-(* A hypergraph-shaped schema: one variable indexed column. *)
-let pins_schema =
-  Sch.make ~parts:[ "vertex"; "edge" ]
-    ~morphisms:[ Sch.variable ~indexed:true ~dom:"edge" ~cod:"vertex" "pins" ]
-
-let pins_m = Sch.morphism_index pins_schema "pins"
-
-(* --- Schema validation --- *)
-
-let test_schema_rejects () =
-  raises_invalid "duplicate part" (fun () ->
-      Sch.make ~parts:[ "a"; "a" ] ~morphisms:[]);
-  raises_invalid "unknown dom" (fun () ->
-      Sch.make ~parts:[ "a" ] ~morphisms:[ Sch.fixed ~dom:"b" ~cod:"a" "f" ]);
-  raises_invalid "duplicate morphism name" (fun () ->
-      Sch.make ~parts:[ "a"; "b" ]
-        ~morphisms:[ Sch.fixed ~dom:"b" ~cod:"a" "f"; Sch.fixed ~dom:"b" ~cod:"a" "f" ]);
-  raises_invalid "two variable columns" (fun () ->
-      Sch.make ~parts:[ "a"; "b" ]
-        ~morphisms:
-          [ Sch.variable ~dom:"b" ~cod:"a" "p"; Sch.variable ~dom:"b" ~cod:"a" "q" ]);
-  raises_invalid "fixed after variable" (fun () ->
-      Sch.make ~parts:[ "a"; "b" ]
-        ~morphisms:[ Sch.variable ~dom:"b" ~cod:"a" "p"; Sch.fixed ~dom:"b" ~cod:"a" "f" ])
-
-let test_schema_accessors () =
-  checki "parts" 2 (Sch.n_parts graph_schema);
-  checki "morphisms" 2 (Sch.n_morphisms graph_schema);
-  checkb "edge is relation part" true (Sch.is_relation_part graph_schema edge_part);
-  checkb "vertex is object part" false
-    (Sch.is_relation_part graph_schema (Sch.part_index graph_schema "vertex"));
-  Alcotest.(check (array int)) "row columns" [| src_m; dst_m |]
-    (Sch.morphisms_of_part graph_schema edge_part);
-  checkb "no variable column" true (Sch.variable_morphism graph_schema edge_part = None);
-  checkb "pins is variable" true (Sch.variable_morphism pins_schema 1 = Some pins_m)
-
-(* --- Builder validation --- *)
-
-let test_builder_rejects () =
-  let b = S.Builder.create graph_schema ~counts:[| 4; 0 |] in
-  raises_invalid "row width" (fun () -> S.Builder.add_row b ~part:edge_part [| 1 |]);
-  raises_invalid "value range" (fun () -> S.Builder.add_row b ~part:edge_part [| 0; 4 |]);
-  raises_invalid "negative value" (fun () -> S.Builder.add_row b ~part:edge_part [| -1; 0 |]);
-  raises_invalid "packed key range" (fun () -> S.Builder.add_packed b ~part:edge_part 16);
-  raises_invalid "object part has no rows" (fun () -> S.Builder.add_row b ~part:0 [| 0 |]);
-  let vb = S.Builder.create pins_schema ~counts:[| 4; 0 |] in
-  raises_invalid "variable part is not packed" (fun () -> S.Builder.add_packed vb ~part:1 0)
-
-(* --- The packed pipeline --- *)
-
-let random_rows rng n count =
-  List.init count (fun _ -> (Stdx.Prng.int rng n, Stdx.Prng.int rng n))
-
-let freeze_via_builder n rows =
-  let b = S.Builder.create graph_schema ~counts:[| n; 0 |] in
-  List.iter (fun (u, v) -> S.Builder.add_row b ~part:edge_part [| u; v |]) rows;
-  S.Builder.freeze b
-
-let freeze_via_keys n rows =
-  let keys = Array.of_list (List.map (fun (u, v) -> (u * n) + v) rows) in
-  S.freeze_keys graph_schema ~part:edge_part ~counts:[| n; 0 |] keys (Array.length keys)
-
-let test_packed_pipeline () =
-  let rows = [ (3, 1); (0, 2); (3, 1); (1, 1); (0, 0); (2, 3) ] in
-  let c = freeze_via_builder 4 rows in
-  checki "dedup count" 5 (S.count c edge_part);
-  let src = S.fixed_column c src_m and dst = S.fixed_column c dst_m in
-  (* Rows come out sorted by packed key = row-major (src, dst) order. *)
-  Alcotest.(check (array int)) "src sorted" [| 0; 0; 1; 2; 3 |] src;
-  Alcotest.(check (array int)) "dst" [| 0; 2; 1; 3; 1 |] dst;
-  checkb "keys path agrees" true (S.equal c (freeze_via_keys 4 rows))
-
-let test_freeze_keys_rejects () =
-  raises_invalid "variable schema is not packable" (fun () ->
-      S.freeze_keys pins_schema ~part:1 ~counts:[| 4; 0 |] [| 0 |] 1)
-
-(* --- Incidence invariants --- *)
-
-(* The incidence CSR of an indexed morphism must list, for every codomain
-   element, exactly the domain rows holding it, ascending. *)
-let incidence_matches_column c ~cod_count ~morphism ~holds =
-  let row, dom_ids = S.incidence c morphism in
-  checki "row length" (cod_count + 1) (Array.length row);
-  let ok = ref true in
-  for v = 0 to cod_count - 1 do
-    let expect = ref [] in
-    for e = S.count c edge_part - 1 downto 0 do
-      if holds e v then expect := e :: !expect
-    done;
-    let got = Array.to_list (Array.sub dom_ids row.(v) (row.(v + 1) - row.(v))) in
-    if got <> !expect then ok := false
-  done;
-  !ok
-
-let test_incidence_fixed () =
-  let rng = Stdx.Prng.create 11 in
-  for _ = 1 to 20 do
-    let n = 1 + Stdx.Prng.int rng 8 in
-    let rows = random_rows rng n (Stdx.Prng.int rng 30) in
-    let c = freeze_via_builder n rows in
-    let src = S.fixed_column c src_m and dst = S.fixed_column c dst_m in
-    checkb "src incidence" true
-      (incidence_matches_column c ~cod_count:n ~morphism:src_m ~holds:(fun e v -> src.(e) = v));
-    checkb "dst incidence" true
-      (incidence_matches_column c ~cod_count:n ~morphism:dst_m ~holds:(fun e v -> dst.(e) = v))
-  done
-
-(* --- The lexicographic (variable-arity) pipeline --- *)
-
-let freeze_pins n rows =
-  let b = S.Builder.create pins_schema ~counts:[| n; 0 |] in
-  List.iter (fun pins -> S.Builder.add_row b ~part:1 (Array.of_list pins)) rows;
-  S.Builder.freeze b
-
-let test_variable_pipeline () =
-  (* Duplicates collapse; order is lexicographic with a shorter prefix
-     first; the empty row is a legal row for the raw store. *)
-  let c = freeze_pins 5 [ [ 1; 2; 4 ]; [ 0 ]; [ 1; 2 ]; [ 1; 2; 4 ]; [] ] in
-  checki "dedup count" 4 (S.count c 1);
-  let row, vals = S.segments c pins_m in
-  let seg e = Array.to_list (Array.sub vals row.(e) (row.(e + 1) - row.(e))) in
-  Alcotest.(check (list (list int)))
-    "lex order, shorter prefix first"
-    [ []; [ 0 ]; [ 1; 2 ]; [ 1; 2; 4 ] ]
-    (List.init 4 seg)
-
-let test_incidence_segments () =
-  let rng = Stdx.Prng.create 13 in
-  for _ = 1 to 20 do
-    let n = 2 + Stdx.Prng.int rng 8 in
-    let rows =
-      List.init (Stdx.Prng.int rng 15) (fun _ ->
-          (* Sorted distinct pins, as a hypergraph would feed. *)
-          List.filter (fun _ -> Stdx.Prng.int rng 3 = 0) (List.init n Fun.id))
-    in
-    let c = freeze_pins n rows in
-    let row, vals = S.segments c pins_m in
-    let holds e v =
-      let found = ref false in
-      for j = row.(e) to row.(e + 1) - 1 do
-        if vals.(j) = v then found := true
-      done;
-      !found
-    in
-    checkb "segment incidence" true
-      (incidence_matches_column c ~cod_count:n ~morphism:pins_m ~holds)
-  done
-
-(* --- unsafe_of_columns --- *)
-
-let test_unsafe_of_columns () =
-  let rows = [ (3, 1); (0, 2); (1, 1); (0, 0); (2, 3) ] in
-  let c = freeze_via_builder 4 rows in
-  let adopted =
-    S.unsafe_of_columns graph_schema ~counts:[| 4; S.count c edge_part |]
-      ~columns:
-        [| S.Fixed_col (S.fixed_column c src_m); S.Fixed_col (S.fixed_column c dst_m) |]
-  in
-  checkb "adoption round-trips" true (S.equal c adopted);
-  (* Incidence CSRs are rebuilt even on the trusted path. *)
-  let src = S.fixed_column adopted src_m in
-  checkb "incidence rebuilt" true
-    (incidence_matches_column adopted ~cod_count:4 ~morphism:src_m ~holds:(fun e v ->
-         src.(e) = v));
-  raises_invalid "shape mismatch" (fun () ->
-      S.unsafe_of_columns graph_schema ~counts:[| 4; 1 |]
-        ~columns:[| S.Fixed_col [| 0 |]; S.Seg_col ([| 0; 1 |], [| 0 |]) |])
-
-(* --- Trace spans --- *)
-
-let test_freeze_spans () =
-  Stdx.Trace.enable ();
-  Stdx.Trace.reset ();
-  Fun.protect ~finally:Stdx.Trace.disable (fun () ->
-      ignore (freeze_via_builder 4 [ (0, 1); (2, 3) ]);
-      let names = List.map (fun e -> e.Stdx.Trace.name) (Stdx.Trace.dump ()) in
-      List.iter
-        (fun s -> checkb s true (List.mem s names))
-        [ "cset.sort"; "cset.dedup"; "cset.csr-fill" ];
-      Stdx.Trace.reset ();
-      let b = S.Builder.create graph_schema ~counts:[| 4; 0 |] in
-      S.Builder.add_row b ~part:edge_part [| 0; 1 |];
-      ignore (S.Builder.freeze ~span_prefix:"zzz" b);
-      let names = List.map (fun e -> e.Stdx.Trace.name) (Stdx.Trace.dump ()) in
-      checkb "prefix respected" true (List.mem "zzz.sort" names))
 
 (* --- Columnar primitives --- *)
 
@@ -260,48 +49,9 @@ let test_neighbor_csr () =
   Alcotest.(check (array int)) "row_start" [| 0; 2; 4; 7; 9; 10 |] row;
   Alcotest.(check (array int)) "cols" [| 1; 2; 0; 2; 0; 1; 3; 2; 4; 3 |] col
 
-(* --- qcheck: every construction path lands on the same frozen store --- *)
-
-let rows_gen =
-  QCheck.make
-    ~print:(fun (n, rows) -> Printf.sprintf "n=%d rows=%d" n (List.length rows))
-    QCheck.Gen.(
-      int_range 1 16 >>= fun n ->
-      list_size (int_range 0 60) (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
-      >>= fun rows -> return (n, rows))
-
-let qcheck_tests =
-  [
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"Builder.freeze equals freeze_keys" ~count:300 rows_gen
-         (fun (n, rows) -> S.equal (freeze_via_builder n rows) (freeze_via_keys n rows)));
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"add_packed equals add_row" ~count:200 rows_gen
-         (fun (n, rows) ->
-           let b = S.Builder.create graph_schema ~counts:[| n; 0 |] in
-           List.iter (fun (u, v) -> S.Builder.add_packed b ~part:edge_part ((u * n) + v)) rows;
-           S.equal (S.Builder.freeze b) (freeze_via_builder n rows)));
-  ]
-
 let () =
   Alcotest.run "cset"
     [
-      ( "schema",
-        [
-          Alcotest.test_case "rejects" `Quick test_schema_rejects;
-          Alcotest.test_case "accessors" `Quick test_schema_accessors;
-        ] );
-      ( "store",
-        [
-          Alcotest.test_case "builder rejects" `Quick test_builder_rejects;
-          Alcotest.test_case "packed pipeline" `Quick test_packed_pipeline;
-          Alcotest.test_case "freeze_keys rejects" `Quick test_freeze_keys_rejects;
-          Alcotest.test_case "incidence of fixed columns" `Quick test_incidence_fixed;
-          Alcotest.test_case "variable pipeline" `Quick test_variable_pipeline;
-          Alcotest.test_case "incidence of segments" `Quick test_incidence_segments;
-          Alcotest.test_case "unsafe_of_columns" `Quick test_unsafe_of_columns;
-          Alcotest.test_case "freeze spans" `Quick test_freeze_spans;
-        ] );
       ( "columnar",
         [
           Alcotest.test_case "sort_keys all sizes" `Quick test_sort_keys_small_and_large;
@@ -309,5 +59,4 @@ let () =
           Alcotest.test_case "distinct helpers" `Quick test_distinct_helpers;
           Alcotest.test_case "neighbor csr" `Quick test_neighbor_csr;
         ] );
-      ("pipeline-properties", qcheck_tests);
     ]

@@ -271,6 +271,33 @@ let test_max_conns_shedding () =
           in
           checkb "slot freed, admission recovers" true (admit_ping 50)))
 
+(* A [start_handler] handler that raises runs on a dispatch thread,
+   outside [dispatch_one]'s synchronous guard: it must still answer a 500
+   [failed] frame, and the connection must keep serving afterwards. *)
+let test_raising_handler_answers_500 () =
+  let handle ~cancelled:_ request =
+    if request = "boom" then failwith "handler blew up"
+    else { Server.Service.payload = "{\"ok\":true}"; shutdown = false }
+  in
+  let d = Server.Daemon.start_handler ~dispatch_threads:1 ~handle () in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.Daemon.stop ~abort_connections:true d;
+      Server.Daemon.wait d)
+    (fun () ->
+      let fd = connect (Server.Daemon.port d) in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          (* A hung connection fails the read instead of the whole suite. *)
+          Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+          send_all fd (W.encode "boom");
+          let j = T.json_of_string (W.read_frame fd) in
+          checks "error tag" "failed" (error_tag j);
+          checkb "code 500" true (T.member "code" j = Some (T.Jint 500));
+          send_all fd (W.encode "ping");
+          checkb "connection still serves" true (is_ok (T.json_of_string (W.read_frame fd)))))
+
 (* ------------------------------------------------------------------ *)
 (* FD_SETSIZE and EOF-driven cancellation                              *)
 
@@ -280,12 +307,22 @@ let test_beyond_fd_setsize () =
      client_gone probe faulted on such fds and reported every client
      gone — computes came back 499 to a live, waiting client. The event
      loop's EOF flag has no such cliff: the compute must answer ok. *)
-  with_daemon ~workers:1 ~capacity:4 (fun _ port ->
+  with_daemon ~workers:1 ~capacity:4 (fun d port ->
       let herd = Array.init 600 (fun _ -> connect port) in
       Fun.protect
         ~finally:(fun () ->
           Array.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) herd)
         (fun () ->
+          (* Let the daemon accept the whole herd first, so its own fds
+             (and hence the probe's) are numbered past 1024. *)
+          let metrics = Server.Service.metrics (Server.Daemon.service d) in
+          let deadline = Unix.gettimeofday () +. 10. in
+          while
+            (Server.Metrics.snapshot metrics).Server.Metrics.conns_open < 600
+            && Unix.gettimeofday () < deadline
+          do
+            Thread.delay 0.01
+          done;
           let high = connect port in
           Fun.protect
             ~finally:(fun () -> try Unix.close high with Unix.Unix_error _ -> ())
@@ -403,6 +440,8 @@ let () =
             test_pipelining_in_order;
           Alcotest.test_case "stalled reader gets buffered writes" `Quick
             test_stalled_reader_buffered_writes;
+          Alcotest.test_case "raising handler answers 500" `Quick
+            test_raising_handler_answers_500;
         ] );
       ( "limits",
         [

@@ -212,6 +212,18 @@ let test_neighbors_owned_copy () =
   Alcotest.(check (array int)) "fresh copy" [| 1; 2; 3 |] (G.neighbors g 0);
   checkb "edge intact" true (G.mem_edge g 0 1)
 
+(* Every freeze runs its three phases in named trace spans; the bench's
+   per-phase breakdown keys on these names. *)
+let test_freeze_spans () =
+  Stdx.Trace.enable ();
+  Stdx.Trace.reset ();
+  Fun.protect ~finally:Stdx.Trace.disable (fun () ->
+      ignore (G.create 4 [ (0, 1); (2, 3) ]);
+      let names = List.map (fun e -> e.Stdx.Trace.name) (Stdx.Trace.dump ()) in
+      List.iter
+        (fun s -> checkb s true (List.mem s names))
+        [ "graph.freeze"; "graph.sort"; "graph.dedup"; "graph.csr-fill" ])
+
 let test_neighbor_iterators () =
   let g = G.create 6 [ (2, 0); (2, 5); (2, 3) ] in
   let via_iter = ref [] in
@@ -284,30 +296,14 @@ let qcheck_tests =
              if G.exists_neighbor (fun u -> not (Array.mem u row)) g v then ok := false
            done;
            !ok));
-    (* The graph IS a cset instance: the underlying store's columns must
-       be exactly the normalised edge list, and every construction path
-       must land on the same frozen store (same schema, counts, columns). *)
-    QCheck_alcotest.to_alcotest
-      (QCheck.Test.make ~name:"cset store mirrors edges_array" ~count:300 small_graph_gen
-         (fun (n, edges) ->
-           let g = G.create n edges in
-           let c = G.cset g in
-           let module S = Cset.Store in
-           let schema = S.schema c in
-           let edge_part = Cset.Schema.part_index schema "edge" in
-           let src = S.fixed_column c (Cset.Schema.morphism_index schema "src") in
-           let dst = S.fixed_column c (Cset.Schema.morphism_index schema "dst") in
-           S.count c (Cset.Schema.part_index schema "vertex") = n
-           && S.count c edge_part = G.m g
-           && Array.to_list (G.edges_array g)
-              = List.init (G.m g) (fun i -> (src.(i), dst.(i)))));
+    (* Every construction path must land on the same frozen columns. *)
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"all build paths share one frozen store" ~count:200 small_graph_gen
          (fun (n, edges) ->
            let g = G.create n edges in
            let b = G.Builder.create n in
            List.iter (fun (u, v) -> G.Builder.add_edge b u v) edges;
-           Cset.Store.equal (G.cset g) (G.cset (G.Builder.freeze b))));
+           G.equal g (G.Builder.freeze b)));
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"disjoint_union fast path equals create" ~count:200
          QCheck.(pair small_graph_gen small_graph_gen)
@@ -345,6 +341,7 @@ let () =
           Alcotest.test_case "of_sorted_csr round-trip" `Quick test_of_sorted_csr_roundtrip;
           Alcotest.test_case "neighbors owned copy" `Quick test_neighbors_owned_copy;
           Alcotest.test_case "neighbor iterators" `Quick test_neighbor_iterators;
+          Alcotest.test_case "freeze spans" `Quick test_freeze_spans;
         ] );
       ( "generators",
         [

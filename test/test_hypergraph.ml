@@ -1,5 +1,4 @@
-(* Tests for Dgraph.Hypergraph (the second cset instance), Hgen,
-   Hmatching and Hmis. *)
+(* Tests for Dgraph.Hypergraph, Hgen, Hmatching and Hmis. *)
 
 module H = Dgraph.Hypergraph
 module G = Dgraph.Graph
@@ -95,6 +94,35 @@ let test_builder () =
   checki "length pre-dedup" 3 (H.Builder.length b);
   let h = H.Builder.freeze b in
   checkb "equals create" true (H.equal h (H.create 5 [ [ 1; 2 ]; [ 0; 3; 4 ] ]))
+
+(* The incidence index must list, for every vertex, exactly the edges
+   holding it, ascending — on random rows with duplicate edges, duplicate
+   pins and isolated vertices. *)
+let test_incidence_random_rows () =
+  let rng = Stdx.Prng.create 13 in
+  for _ = 1 to 20 do
+    let n = 2 + Stdx.Prng.int rng 8 in
+    let rows =
+      List.init (Stdx.Prng.int rng 15) (fun _ ->
+          List.init (2 + Stdx.Prng.int rng 4) (fun _ -> Stdx.Prng.int rng n))
+      |> List.filter (fun pins -> List.length (List.sort_uniq compare pins) >= 2)
+    in
+    let h = H.create n rows in
+    for v = 0 to n - 1 do
+      let expect = List.filter (fun e -> Array.mem v (H.pins h e)) (List.init (H.m h) Fun.id) in
+      Alcotest.(check (list int)) "incident edges" expect (Array.to_list (H.incident h v))
+    done
+  done
+
+let test_freeze_spans () =
+  Stdx.Trace.enable ();
+  Stdx.Trace.reset ();
+  Fun.protect ~finally:Stdx.Trace.disable (fun () ->
+      ignore (H.create 4 [ [ 0; 1; 2 ]; [ 2; 3 ] ]);
+      let names = List.map (fun e -> e.Stdx.Trace.name) (Stdx.Trace.dump ()) in
+      List.iter
+        (fun s -> checkb s true (List.mem s names))
+        [ "hypergraph.freeze"; "hypergraph.sort"; "hypergraph.dedup"; "hypergraph.csr-fill" ])
 
 (* --- Generators --- *)
 
@@ -229,6 +257,8 @@ let () =
           Alcotest.test_case "pins owned copy" `Quick test_pins_owned_copy;
           Alcotest.test_case "equal" `Quick test_equal;
           Alcotest.test_case "builder" `Quick test_builder;
+          Alcotest.test_case "incidence of random rows" `Quick test_incidence_random_rows;
+          Alcotest.test_case "freeze spans" `Quick test_freeze_spans;
         ] );
       ( "generators",
         [
