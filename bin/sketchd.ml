@@ -4,141 +4,45 @@
    (`simulate`) and observability (`stats`) over a length-prefixed JSON
    frame protocol on TCP, with a deterministic result cache in front of a
    bounded domain-pool scheduler. `sketchctl` is the matching client.
-
-   The first stdout line is machine-readable ("sketchd listening on
-   HOST:PORT ...") so scripts can scrape the kernel-chosen port;
-   `--port-file` writes the bare port number for the same purpose.
-   SIGINT/SIGTERM begin a graceful stop: listener closed, in-flight
-   computations completed, then exit. *)
+   Flags, banner, port file and signal handling are [Serve_cli]'s, shared
+   with sketchproxy. *)
 
 open Cmdliner
-
-let serve host port workers capacity cache_entries cache_mb max_conns idle_timeout rate_limit
-    no_keepalive port_file quiet trace =
-  (* --trace: record the daemon's whole life (accept → decode → cache →
-     schedule → compute → encode spans) and write the Perfetto-loadable
-     file when the drain completes. *)
-  Report.Trace_export.with_file trace @@ fun () ->
-  let log =
-    if quiet then fun _ -> ()
-    else fun line ->
-      Printf.eprintf "sketchd: %s\n%!" line
-  in
-  let daemon =
-    try
-      Server.Daemon.start ~host ~port ~workers ~capacity ~cache_entries
-        ~cache_bytes:(cache_mb * 1024 * 1024) ~max_conns ~idle_timeout_s:idle_timeout
-        ~rate_limit ~keepalive:(not no_keepalive) ~log ()
-    with Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "sketchd: cannot listen on %s:%d: %s\n%!" host port (Unix.error_message e);
-      exit 1
-  in
-  let actual_port = Server.Daemon.port daemon in
-  (match port_file with
-  | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc "%d\n" actual_port;
-      close_out oc
-  | None -> ());
-  Printf.printf "sketchd listening on %s:%d (version %s, workers=%d, queue=%d)\n%!" host
-    actual_port Stdx.Version.current workers capacity;
-  let graceful _ = Server.Daemon.stop ~abort_connections:true daemon in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle graceful);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful);
-  Server.Daemon.wait daemon;
-  Printf.printf "sketchd: drained, bye\n%!"
-
-let host_arg =
-  Arg.(
-    value
-    & opt string "127.0.0.1"
-    & info [ "host" ] ~doc:"Address to bind (dotted quad)." ~docv:"ADDR")
-
-let port_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "p"; "port" ] ~doc:"TCP port; 0 lets the kernel choose (printed on stdout)."
-        ~docv:"PORT")
-
-let workers_arg =
-  Arg.(
-    value
-    & opt int 2
-    & info [ "workers" ] ~doc:"Worker domains computing experiment runs." ~docv:"INT")
-
-let capacity_arg =
-  Arg.(
-    value
-    & opt int 16
-    & info [ "queue" ] ~doc:"Bounded request-queue depth; beyond it requests are shed (429)."
-        ~docv:"INT")
-
-let cache_entries_arg =
-  Arg.(
-    value & opt int 512 & info [ "cache-entries" ] ~doc:"Result-cache entry bound." ~docv:"INT")
-
-let cache_mb_arg =
-  Arg.(
-    value
-    & opt int 64
-    & info [ "cache-mb" ] ~doc:"Result-cache payload bound in MiB." ~docv:"INT")
-
-let max_conns_arg =
-  Arg.(
-    value
-    & opt int 8192
-    & info [ "max-conns" ]
-        ~doc:"Concurrent-connection cap; excess connections get a 503 frame and a close."
-        ~docv:"INT")
-
-let idle_timeout_arg =
-  Arg.(
-    value
-    & opt float 0.
-    & info [ "idle-timeout" ]
-        ~doc:"Evict connections idle longer than $(docv) seconds (0 disables)." ~docv:"SEC")
-
-let rate_limit_arg =
-  Arg.(
-    value
-    & opt float 0.
-    & info [ "rate-limit" ]
-        ~doc:
-          "Per-connection request budget in requests/second; beyond it requests are answered \
-           429 (0 disables)."
-        ~docv:"RPS")
-
-let no_keepalive_arg =
-  Arg.(
-    value & flag & info [ "no-keepalive" ] ~doc:"Do not set SO_KEEPALIVE on accepted sockets.")
-
-let port_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "port-file" ] ~doc:"Also write the chosen port number to $(docv)." ~docv:"FILE")
-
-let quiet_arg =
-  Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-request log lines on stderr.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ]
-        ~doc:
-          "Record a Chrome trace_event profile of the daemon's lifetime to $(docv) (written at \
-           shutdown; Perfetto-loadable)."
-        ~docv:"FILE")
+open Term.Syntax
 
 let () =
-  let doc = "Concurrent sketch-service daemon with a deterministic result cache." in
-  let info = Cmd.info "sketchd" ~version:Stdx.Version.current ~doc in
-  let term =
-    Term.(
-      const serve $ host_arg $ port_arg $ workers_arg $ capacity_arg $ cache_entries_arg
-      $ cache_mb_arg $ max_conns_arg $ idle_timeout_arg $ rate_limit_arg $ no_keepalive_arg
-      $ port_file_arg $ quiet_arg $ trace_arg)
-  in
-  exit (Cmd.eval (Cmd.v info term))
+  Serve_cli.main ~name:"sketchd"
+    ~doc:"Concurrent sketch-service daemon with a deterministic result cache."
+  @@ let+ (c : Serve_cli.common) = Serve_cli.common
+     and+ workers =
+       Arg.(
+         value
+         & opt int 2
+         & info [ "workers" ] ~doc:"Worker domains computing experiment runs." ~docv:"INT")
+     and+ capacity =
+       Arg.(
+         value
+         & opt int 16
+         & info [ "queue" ]
+             ~doc:"Bounded request-queue depth; beyond it requests are shed (429)." ~docv:"INT")
+     and+ cache_entries =
+       Arg.(
+         value
+         & opt int 512
+         & info [ "cache-entries" ] ~doc:"Result-cache entry bound." ~docv:"INT")
+     and+ cache_mb =
+       Arg.(
+         value
+         & opt int 64
+         & info [ "cache-mb" ] ~doc:"Result-cache payload bound in MiB." ~docv:"INT")
+     in
+     Serve_cli.serve ~name:"sketchd" c
+       ~details:(Printf.sprintf "workers=%d, queue=%d" workers capacity)
+       ~start:(fun ~log ->
+         Server.Daemon.start ~host:c.host ~port:c.port ~workers ~capacity ~cache_entries
+           ~cache_bytes:(cache_mb * 1024 * 1024) ~max_conns:c.max_conns
+           ~idle_timeout_s:c.idle_timeout ~rate_limit:c.rate_limit ~keepalive:c.keepalive ~log
+           ())
+       ~port:Server.Daemon.port
+       ~stop:(Server.Daemon.stop ~abort_connections:true)
+       ~wait:Server.Daemon.wait

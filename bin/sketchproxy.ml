@@ -7,141 +7,46 @@
    makes failover transparent — a replica recomputes the byte-identical
    response a dead backend would have served. `ping`/`cluster`/`stats`
    are answered by the proxy itself (`stats` aggregated cluster-wide).
-
-   Same scriptability conventions as sketchd: first stdout line is
-   machine-readable, `--port-file` writes the bare port,
-   SIGINT/SIGTERM drain gracefully. *)
+   Flags, banner, port file and signal handling are [Serve_cli]'s, shared
+   with sketchd. *)
 
 open Cmdliner
-
-let serve host port backends vnodes health_interval max_conns idle_timeout rate_limit
-    no_keepalive port_file quiet trace =
-  if backends = [] then begin
-    Printf.eprintf "sketchproxy: need at least one --backend HOST:PORT\n%!";
-    exit 2
-  end;
-  Report.Trace_export.with_file trace @@ fun () ->
-  let log =
-    if quiet then fun _ -> ()
-    else fun line -> Printf.eprintf "sketchproxy: %s\n%!" line
-  in
-  let proxy =
-    try
-      Server.Proxy.start ~host ~port ~vnodes ~health_interval_s:health_interval ~max_conns
-        ~idle_timeout_s:idle_timeout ~rate_limit ~keepalive:(not no_keepalive) ~log ~backends
-        ()
-    with
-    | Unix.Unix_error (e, _, _) ->
-        Printf.eprintf "sketchproxy: cannot listen on %s:%d: %s\n%!" host port
-          (Unix.error_message e);
-        exit 1
-    | Invalid_argument msg ->
-        Printf.eprintf "sketchproxy: %s\n%!" msg;
-        exit 2
-  in
-  let actual_port = Server.Proxy.port proxy in
-  (match port_file with
-  | Some path ->
-      let oc = open_out path in
-      Printf.fprintf oc "%d\n" actual_port;
-      close_out oc
-  | None -> ());
-  Printf.printf "sketchproxy listening on %s:%d (version %s, backends=%d, vnodes=%d)\n%!" host
-    actual_port Stdx.Version.current (List.length backends) vnodes;
-  let graceful _ = Server.Proxy.stop ~abort_connections:true proxy in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle graceful);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle graceful);
-  Server.Proxy.wait proxy;
-  Printf.printf "sketchproxy: drained, bye\n%!"
-
-let host_arg =
-  Arg.(
-    value
-    & opt string "127.0.0.1"
-    & info [ "host" ] ~doc:"Address to bind (dotted quad)." ~docv:"ADDR")
-
-let port_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "p"; "port" ] ~doc:"TCP port; 0 lets the kernel choose (printed on stdout)."
-        ~docv:"PORT")
-
-let backends_arg =
-  Arg.(
-    value
-    & opt_all string []
-    & info [ "b"; "backend" ]
-        ~doc:"A sketchd backend as $(docv). Repeatable; at least one is required."
-        ~docv:"HOST:PORT")
-
-let vnodes_arg =
-  Arg.(
-    value
-    & opt int 128
-    & info [ "vnodes" ] ~doc:"Consistent-hash ring points per backend." ~docv:"INT")
-
-let health_interval_arg =
-  Arg.(
-    value
-    & opt float 2.0
-    & info [ "health-interval" ] ~doc:"Seconds between background ping sweeps." ~docv:"SEC")
-
-let max_conns_arg =
-  Arg.(
-    value
-    & opt int 8192
-    & info [ "max-conns" ]
-        ~doc:"Concurrent-connection cap; excess connections get a 503 frame and a close."
-        ~docv:"INT")
-
-let idle_timeout_arg =
-  Arg.(
-    value
-    & opt float 0.
-    & info [ "idle-timeout" ]
-        ~doc:"Evict connections idle longer than $(docv) seconds (0 disables)." ~docv:"SEC")
-
-let rate_limit_arg =
-  Arg.(
-    value
-    & opt float 0.
-    & info [ "rate-limit" ]
-        ~doc:
-          "Per-connection request budget in requests/second; beyond it requests are answered \
-           429 (0 disables)."
-        ~docv:"RPS")
-
-let no_keepalive_arg =
-  Arg.(
-    value & flag & info [ "no-keepalive" ] ~doc:"Do not set SO_KEEPALIVE on accepted sockets.")
-
-let port_file_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "port-file" ] ~doc:"Also write the chosen port number to $(docv)." ~docv:"FILE")
-
-let quiet_arg =
-  Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"Suppress per-request log lines on stderr.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ]
-        ~doc:
-          "Record a Chrome trace_event profile of the proxy's lifetime to $(docv) (written at \
-           shutdown; Perfetto-loadable)."
-        ~docv:"FILE")
+open Term.Syntax
 
 let () =
-  let doc = "Consistent-hash routing proxy for a fleet of sketchd backends." in
-  let info = Cmd.info "sketchproxy" ~version:Stdx.Version.current ~doc in
-  let term =
-    Term.(
-      const serve $ host_arg $ port_arg $ backends_arg $ vnodes_arg $ health_interval_arg
-      $ max_conns_arg $ idle_timeout_arg $ rate_limit_arg $ no_keepalive_arg $ port_file_arg
-      $ quiet_arg $ trace_arg)
-  in
-  exit (Cmd.eval (Cmd.v info term))
+  Serve_cli.main ~name:"sketchproxy"
+    ~doc:"Consistent-hash routing proxy for a fleet of sketchd backends."
+  @@ let+ (c : Serve_cli.common) = Serve_cli.common
+     and+ backends =
+       Arg.(
+         value
+         & opt_all string []
+         & info [ "b"; "backend" ]
+             ~doc:"A sketchd backend as $(docv). Repeatable; at least one is required."
+             ~docv:"HOST:PORT")
+     and+ vnodes =
+       Arg.(
+         value
+         & opt int 128
+         & info [ "vnodes" ] ~doc:"Consistent-hash ring points per backend." ~docv:"INT")
+     and+ health_interval =
+       Arg.(
+         value
+         & opt float 2.0
+         & info [ "health-interval" ] ~doc:"Seconds between background ping sweeps."
+             ~docv:"SEC")
+     in
+     if backends = [] then begin
+       Printf.eprintf "sketchproxy: need at least one --backend HOST:PORT\n%!";
+       exit 2
+     end;
+     Serve_cli.serve ~name:"sketchproxy" c
+       ~details:(Printf.sprintf "backends=%d, vnodes=%d" (List.length backends) vnodes)
+       ~start:(fun ~log ->
+         Server.Proxy.start ~host:c.host ~port:c.port ~vnodes
+           ~health_interval_s:health_interval ~max_conns:c.max_conns
+           ~idle_timeout_s:c.idle_timeout ~rate_limit:c.rate_limit ~keepalive:c.keepalive ~log
+           ~backends ())
+       ~port:Server.Proxy.port
+       ~stop:(Server.Proxy.stop ~abort_connections:true)
+       ~wait:Server.Proxy.wait

@@ -46,9 +46,7 @@ let create ?(max_entries = 512) ?(max_bytes = 64 * 1024 * 1024) () =
     invalidations = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 (* Recency-list surgery; all under the mutex. *)
 let unlink t n =

@@ -1,12 +1,9 @@
 (* Client side of the wire protocol: one TCP connection, synchronous
-   request/response frames. Used by `sketchctl`, the server tests and the
-   `serve` bench — anything that talks to a running sketchd. *)
-
-module T = Report.Tabular
+   request/response frames, raw payload in and raw payload out. Used by
+   `sketchctl`, the proxy's backend pools, the server tests and the
+   benches — anything that talks to a running sketchd or sketchproxy. *)
 
 type t = { fd : Unix.file_descr }
-
-exception Server_error of { code : int; error : string; msg : string }
 
 let connect ?(host = "127.0.0.1") ~port () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -28,17 +25,3 @@ let with_connection ?host ~port f =
 let request t payload =
   Wire.write_frame t.fd payload;
   Wire.read_frame t.fd
-
-let request_json t j =
-  let response = request t (T.string_of_json j) in
-  T.json_of_string response
-
-(* [request_json], but server-reported failures become an exception. *)
-let request_json_exn t j =
-  let r = request_json t j in
-  match T.member "ok" r with
-  | Some (T.Jbool true) -> r
-  | _ ->
-      let str k = match T.member k r with Some (T.Jstr s) -> s | _ -> "" in
-      let code = match T.member "code" r with Some (T.Jint c) -> c | _ -> 0 in
-      raise (Server_error { code; error = str "error"; msg = str "msg" })

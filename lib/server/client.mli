@@ -1,14 +1,10 @@
 (** Client side of the [sketchd] wire protocol: one TCP connection,
-    synchronous request/response frames. *)
-
-module T = Report.Tabular
+    synchronous request/response frames. Payloads are exchanged as raw
+    JSON text, byte-exact; callers parse them with {!Report.Tabular} when
+    they need fields. *)
 
 type t
 (** One open connection; not thread-safe (one request at a time). *)
-
-exception Server_error of { code : int; error : string; msg : string }
-(** An [{"ok":false}] response, decoded: HTTP-flavoured [code],
-    machine-readable [error] tag, human-readable [msg]. *)
 
 val connect : ?host:string -> port:int -> unit -> t
 (** Default host ["127.0.0.1"]. *)
@@ -22,10 +18,3 @@ val with_connection : ?host:string -> port:int -> (t -> 'a) -> 'a
 val request : t -> string -> string
 (** Send one payload, return the {e byte-exact} response payload — what
     determinism checks diff. *)
-
-val request_json : t -> T.json -> T.json
-(** {!request} through the JSON codec. *)
-
-val request_json_exn : t -> T.json -> T.json
-(** Like {!request_json}, but an [{"ok":false}] response raises
-    {!Server_error}. *)

@@ -28,7 +28,8 @@
    A misbehaving client still costs its own connection and nothing else:
    garbage or oversized framing gets one best-effort error frame — after
    the well-formed requests that preceded it on the stream — then the
-   close. *)
+   close. Those frames, like every reply, are built by [Service.Codec]:
+   the daemon has no JSON writer of its own. *)
 
 (* Request handler in continuation style: the daemon calls [k] with the
    reply whenever it is ready — possibly synchronously on the event
@@ -42,7 +43,10 @@ type async_handle = cancelled:(unit -> bool) -> string -> (Service.reply -> unit
    plain blocking function (the proxy's does socket I/O to its backends).
    It must not run on the event thread, so a fixed pool of dispatch
    threads carries those calls; [start]'s async service path never
-   touches this. *)
+   touches this. 16 threads keep a proxy's slow backend calls from
+   queueing behind each other without one thread per connection. *)
+let dispatch_threads = 16
+
 module Dispatch = struct
   type t = {
     q : (unit -> unit) Queue.t;
@@ -70,7 +74,7 @@ module Dispatch = struct
         worker ()
       end
     in
-    d.threads <- List.init (max 1 threads) (fun _ -> Thread.create worker ());
+    d.threads <- List.init threads (fun _ -> Thread.create worker ());
     d
 
   let submit d f =
@@ -126,7 +130,7 @@ type t = {
   ahandle : async_handle;
   on_drain : unit -> unit;  (* run once by [wait] after the loop exits *)
   service : Service.t option;
-  metrics : Metrics.t option;
+  metrics : Metrics.t;  (* connection gauges land here *)
   cfg : config;
   listen_fd : Unix.file_descr;
   port : int;
@@ -141,7 +145,6 @@ type t = {
   mutable ev_thread : Thread.t option;
   (* Event-thread-only state below. *)
   conns : (Unix.file_descr, conn) Hashtbl.t;
-  dispatch : Dispatch.t option;
   rbuf : Bytes.t;
   pset : Poll.set;
   mutable listener_open : bool;
@@ -154,9 +157,7 @@ let port t = t.port
    queued output bounds a stalled reader. *)
 let pending_max = 64
 
-let locked t f =
-  Mutex.lock t.amutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.amutex) f
+let locked t f = Mutex.protect t.amutex f
 
 let wake_byte = Bytes.of_string "!"
 
@@ -167,18 +168,14 @@ let post t f =
   locked t (fun () -> Queue.add f t.actions);
   wake t
 
-let frame_error ~code ~error msg =
-  Printf.sprintf "{\"ok\":false,\"error\":%S,\"code\":%d,\"msg\":%S}" error code msg
-
 (* The handler contract says "never raise"; if one does anyway, answer a
    500 so the connection's reply order survives. *)
 let failed_reply e =
   {
-    Service.payload = frame_error ~code:500 ~error:"failed" (Printexc.to_string e);
+    Service.payload =
+      Service.Codec.error_response ~code:500 ~error:"failed" (Printexc.to_string e);
     shutdown = false;
   }
-
-let metric t f = match t.metrics with Some m -> f m | None -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Event-thread connection machinery                                   *)
@@ -189,7 +186,7 @@ let close_conn t conn =
     Atomic.set conn.gone true;
     Hashtbl.remove t.conns conn.fd;
     (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-    metric t Metrics.conn_closed
+    Metrics.conn_closed t.metrics
   end
 
 (* Push as much of the out-queue into the socket as it will take; stop at
@@ -219,7 +216,13 @@ let rec try_flush t conn =
     end
 
 let enqueue_frame t conn payload =
-  Queue.add (Wire.encode payload) conn.outq;
+  let t0 = if Stdx.Trace.enabled () then Unix.gettimeofday () else 0. in
+  let frame = Wire.encode payload in
+  if Stdx.Trace.enabled () then
+    Stdx.Trace.complete
+      ~args:[ ("bytes", Stdx.Trace.Int (String.length frame)) ]
+      ~t0 ~t1:(Unix.gettimeofday ()) "wire.encode";
+  Queue.add frame conn.outq;
   try_flush t conn
 
 (* Dispatch the next pending request if the connection is quiet: nothing
@@ -251,10 +254,10 @@ let rec pump t conn =
       conn.last_refill <- now;
       if conn.tokens < 1. then begin
         ignore (Queue.pop conn.pending);
-        metric t Metrics.rate_limited;
+        Metrics.rate_limited t.metrics;
         Stdx.Trace.instant "daemon.rate-limited";
         enqueue_frame t conn
-          (frame_error ~code:429 ~error:"rate-limited"
+          (Service.Codec.error_response ~code:429 ~error:"rate-limited"
              "per-connection request rate exceeded; slow down");
         pump t conn
       end
@@ -290,8 +293,13 @@ and on_reply t conn reply =
    error frame in [conn.failure] (served after the pending requests) and
    stops all further reading — the stream position is unrecoverable. *)
 let feed_conn t conn n =
+  let t0 = if Stdx.Trace.enabled () then Unix.gettimeofday () else 0. in
   match Wire.Decoder.feed conn.decoder t.rbuf ~off:0 ~len:n with
   | () ->
+      if Stdx.Trace.enabled () then
+        Stdx.Trace.complete
+          ~args:[ ("bytes", Stdx.Trace.Int n) ]
+          ~t0 ~t1:(Unix.gettimeofday ()) "wire.decode";
       let rec drain () =
         match Wire.Decoder.next conn.decoder with
         | Some request ->
@@ -301,12 +309,13 @@ let feed_conn t conn n =
       in
       drain ()
   | exception Wire.Malformed msg ->
-      conn.failure <- Some (frame_error ~code:400 ~error:"malformed-frame" msg);
+      conn.failure <-
+        Some (Service.Codec.error_response ~code:400 ~error:"malformed-frame" msg);
       conn.eof <- true
   | exception Wire.Oversized n ->
       conn.failure <-
         Some
-          (frame_error ~code:400 ~error:"oversized-frame"
+          (Service.Codec.error_response ~code:400 ~error:"oversized-frame"
              (Printf.sprintf "declared %d bytes; max %d" n Wire.max_frame));
       conn.eof <- true
 
@@ -344,6 +353,14 @@ let read_conn t conn =
 (* ------------------------------------------------------------------ *)
 (* Accepting                                                           *)
 
+(* A best-effort single write of one error frame, bypassing the out-queue
+   because the connection is about to close: the frame is tiny and the
+   socket buffer empty, so a short write means a dead peer. *)
+let send_error_now fd ~code ~error msg =
+  let frame = Wire.encode (Service.Codec.error_response ~code ~error msg) in
+  try ignore (Unix.write fd (Bytes.unsafe_of_string frame) 0 (String.length frame))
+  with Unix.Unix_error _ -> ()
+
 let admit t fd =
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -353,17 +370,11 @@ let admit t fd =
     try Unix.close fd with Unix.Unix_error _ -> ())
   else if Hashtbl.length t.conns >= t.cfg.max_conns then begin
     (* Accept-then-503: the client learns why instead of waiting in the
-       backlog. Best-effort single write — the frame is tiny and the
-       socket buffer empty, so a short write means a dead peer. *)
-    metric t Metrics.conn_rejected;
+       backlog. *)
+    Metrics.conn_rejected t.metrics;
     Stdx.Trace.instant "daemon.conn-limit";
-    let frame =
-      Wire.encode
-        (frame_error ~code:503 ~error:"conn-limit"
-           (Printf.sprintf "connection limit (%d) reached; retry later" t.cfg.max_conns))
-    in
-    (try ignore (Unix.write fd (Bytes.unsafe_of_string frame) 0 (String.length frame))
-     with Unix.Unix_error _ -> ());
+    send_error_now fd ~code:503 ~error:"conn-limit"
+      (Printf.sprintf "connection limit (%d) reached; retry later" t.cfg.max_conns);
     try Unix.close fd with Unix.Unix_error _ -> ()
   end
   else begin
@@ -389,7 +400,7 @@ let admit t fd =
       }
     in
     Hashtbl.replace t.conns fd conn;
-    metric t Metrics.conn_opened
+    Metrics.conn_opened t.metrics
   end
 
 let accept_burst t =
@@ -425,15 +436,10 @@ let idle_sweep t =
     in
     List.iter
       (fun conn ->
-        metric t Metrics.idle_timeout;
+        Metrics.idle_timeout t.metrics;
         Stdx.Trace.instant "daemon.idle-timeout";
-        let frame =
-          Wire.encode
-            (frame_error ~code:408 ~error:"idle-timeout"
-               (Printf.sprintf "idle longer than %gs; closing" t.cfg.idle_timeout_s))
-        in
-        (try ignore (Unix.write conn.fd (Bytes.unsafe_of_string frame) 0 (String.length frame))
-         with Unix.Unix_error _ -> ());
+        send_error_now conn.fd ~code:408 ~error:"idle-timeout"
+          (Printf.sprintf "idle longer than %gs; closing" t.cfg.idle_timeout_s);
         close_conn t conn)
       victims
   end
@@ -543,9 +549,9 @@ let event_loop t =
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
-let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?service
-    ?metrics ?(max_conns = 8192) ?(idle_timeout_s = 0.) ?(rate_limit = 0.)
-    ?(keepalive = true) ?dispatch ~ahandle () =
+let start_async ?(host = "127.0.0.1") ?(port = 0) ~on_drain ?service
+    ?(metrics = Metrics.create ()) ?(max_conns = 8192) ?(idle_timeout_s = 0.) ?(rate_limit = 0.)
+    ?(keepalive = true) ~ahandle () =
   if max_conns < 1 then invalid_arg "Daemon: max_conns must be at least 1";
   (* A dead client mid-write must surface as EPIPE, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -581,7 +587,6 @@ let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?se
       abort = false;
       ev_thread = None;
       conns = Hashtbl.create 64;
-      dispatch;
       rbuf = Bytes.create 65536;
       pset = Poll.create_set ();
       listener_open = true;
@@ -590,8 +595,8 @@ let start_async ?(host = "127.0.0.1") ?(port = 0) ?(on_drain = fun () -> ()) ?se
   t.ev_thread <- Some (Thread.create (fun () -> event_loop t) ());
   t
 
-let start_handler ?host ?port ?on_drain ?service ?metrics ?max_conns ?idle_timeout_s
-    ?rate_limit ?keepalive ?(dispatch_threads = 16) ~handle () =
+let start_handler ?host ?port ?(on_drain = fun () -> ()) ?metrics ?max_conns ?idle_timeout_s
+    ?rate_limit ?keepalive ~handle () =
   let dispatch = Dispatch.create ~threads:dispatch_threads in
   (* The dispatch thread swallows exceptions, so a raise must become the
      reply here or [k] never runs and the connection stays busy. *)
@@ -599,8 +604,13 @@ let start_handler ?host ?port ?on_drain ?service ?metrics ?max_conns ?idle_timeo
     Dispatch.submit dispatch (fun () ->
         k (try handle ~cancelled request with e -> failed_reply e))
   in
-  start_async ?host ?port ?on_drain ?service ?metrics ?max_conns ?idle_timeout_s
-    ?rate_limit ?keepalive ~dispatch ~ahandle ()
+  (* Drain order: the loop has exited, so no new handler calls; finish
+     the queued ones, then the caller's own drain. *)
+  start_async ?host ?port
+    ~on_drain:(fun () ->
+      Dispatch.shutdown dispatch;
+      on_drain ())
+    ?metrics ?max_conns ?idle_timeout_s ?rate_limit ?keepalive ~ahandle ()
 
 let start ?host ?port ?workers ?capacity ?cache_entries ?cache_bytes ?max_conns
     ?idle_timeout_s ?rate_limit ?keepalive ?log () =
@@ -626,7 +636,6 @@ let stop ?(abort_connections = false) t =
 
 let wait t =
   (match t.ev_thread with Some th -> Thread.join th | None -> ());
-  (match t.dispatch with Some d -> Dispatch.shutdown d | None -> ());
   t.on_drain ();
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
   (try Unix.close t.wake_w with Unix.Unix_error _ -> ())

@@ -20,7 +20,11 @@
     block and as a trace instant): [max_conns] (accept, best-effort
     503 [conn-limit] frame, close), [idle_timeout_s] (best-effort 408
     [idle-timeout] frame), [rate_limit] (in-order 429 [rate-limited]
-    replies; the connection survives), and TCP [keepalive]. *)
+    replies; the connection survives), and TCP [keepalive]. Every frame
+    the daemon builds itself is a {!Service.Codec.error_response}, so it
+    is valid JSON whatever text it carries. Under tracing, each read's
+    frame reassembly is a [wire.decode] span and each reply's framing a
+    [wire.encode] span, inside the request's [daemon.request]. *)
 
 type t
 (** A running daemon: listener plus one event thread. *)
@@ -53,13 +57,11 @@ val start_handler :
   ?host:string ->
   ?port:int ->
   ?on_drain:(unit -> unit) ->
-  ?service:Service.t ->
   ?metrics:Metrics.t ->
   ?max_conns:int ->
   ?idle_timeout_s:float ->
   ?rate_limit:float ->
   ?keepalive:bool ->
-  ?dispatch_threads:int ->
   handle:(cancelled:(unit -> bool) -> string -> Service.reply) ->
   unit ->
   t
@@ -67,9 +69,10 @@ val start_handler :
     poll loop, frame reassembly, buffered writes, connection limits,
     graceful drain — around an arbitrary blocking payload-to-reply
     function. This is how {!Proxy} listens without duplicating any socket
-    machinery. [handle] runs on an internal pool of [dispatch_threads]
-    (default 16) so its blocking I/O never stalls the event loop; it must
-    never raise (every failure should become an [ok:false] payload).
+    machinery. [handle] runs on an internal pool of 16 dispatch threads
+    so its blocking I/O never stalls the event loop; it should never
+    raise (every failure should become an [ok:false] payload — one that
+    does is answered with a 500 [failed] frame).
     [metrics] receives the connection gauges (pass the proxy's own
     accumulator so its `stats` sees them). [on_drain] runs once inside
     {!wait} after the loop exits. *)
@@ -79,7 +82,7 @@ val port : t -> int
 
 val service : t -> Service.t
 (** The daemon's brain — exposed for in-process tests and stats. Raises
-    [Invalid_argument] on a {!start_handler} daemon started without one. *)
+    [Invalid_argument] on a {!start_handler} daemon. *)
 
 val stop : ?abort_connections:bool -> t -> unit
 (** Begin shutdown: close the listener (no new connections), stop

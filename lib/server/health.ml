@@ -25,9 +25,7 @@ let create backends =
         backends;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let find t addr = List.find_opt (fun e -> e.addr = addr) t.entries
 
@@ -53,18 +51,10 @@ let healthy t addr =
 
 let snapshot t = locked t (fun () -> List.map (fun e -> (e.addr, e.status)) t.entries)
 
-let healthy_count t =
-  locked t (fun () ->
-      List.fold_left (fun n e -> if e.status.healthy then n + 1 else n) 0 t.entries)
+let record t addr = function Ok _ -> mark_up t addr | Error msg -> mark_down t addr ~error:msg
 
 (* One synchronous sweep: probe every backend, update its entry. *)
-let sweep t ~ping =
-  List.iter
-    (fun (addr, _) ->
-      match ping addr with
-      | Ok () -> mark_up t addr
-      | Error msg -> mark_down t addr ~error:msg)
-    (snapshot t)
+let sweep t ~ping = List.iter (fun (addr, _) -> record t addr (ping addr)) (snapshot t)
 
 (* ------------------------------------------------------------------ *)
 (* Periodic pinger: a background thread sweeping every [interval_s],

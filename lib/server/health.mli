@@ -25,22 +25,23 @@ val mark_up : t -> string -> unit
 val mark_down : t -> string -> error:string -> unit
 (** Record a failure: unhealthy, streak incremented, [error] kept. *)
 
+val record : t -> string -> ('a, string) result -> unit
+(** {!mark_up} on [Ok], {!mark_down} with the message on [Error] — how a
+    probe's outcome lands. *)
+
 val healthy : t -> string -> bool
 (** Current verdict for one backend ([false] for unknown addresses). *)
-
-val healthy_count : t -> int
-(** How many backends are currently healthy. *)
 
 val snapshot : t -> (string * status) list
 (** Every entry, in configured order — the `cluster` RPC's source. *)
 
-val sweep : t -> ping:(string -> (unit, string) result) -> unit
+val sweep : t -> ping:(string -> ('a, string) result) -> unit
 (** One synchronous probe of every backend, updating each entry. *)
 
 type pinger
 (** A background thread running {!sweep} periodically. *)
 
-val start_pinger : t -> interval_s:float -> ping:(string -> (unit, string) result) -> pinger
+val start_pinger : t -> interval_s:float -> ping:(string -> ('a, string) result) -> pinger
 (** Sweep every [interval_s] seconds until {!stop_pinger}. *)
 
 val stop_pinger : pinger -> unit

@@ -39,9 +39,7 @@ let create () =
     rate_limited = 0;
   }
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
 let record t ~op ~ok ~ms =
   locked t (fun () ->

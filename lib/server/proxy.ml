@@ -24,9 +24,12 @@
    itself; `stats` aggregates every backend's counters into one cluster
    view (schema pinned by a golden snapshot). Everything else — `list`,
    `run`, `simulate`, unknown ops — forwards, keeping the proxy
-   transparent to whatever the backends grow next. *)
+   transparent to whatever the backends grow next. Replies are built with
+   [Service]'s codec and every request goes through [Service.serve], the
+   envelope sketchd uses, under "proxy.<op>" spans. *)
 
 module T = Report.Tabular
+open Service.Codec
 
 (* ------------------------------------------------------------------ *)
 (* Plumbing                                                            *)
@@ -39,24 +42,18 @@ type pool = {
 
 let max_idle = 4
 
-type counters = {
-  mutable forwarded : int;  (* responses relayed from a backend *)
-  mutable failovers : int;  (* backends skipped for transport failure *)
-  mutable retries : int;  (* backends retried past a shed response *)
-  mutable shed_relayed : int;  (* requests where every backend shed *)
-}
-
 type t = {
   ring : Ring.t;
   health : Health.t;
   metrics : Metrics.t;
   pools : (string * pool) list;  (* one per configured backend *)
   addrs : (string * (string * int)) list;  (* parsed host/port per backend *)
-  counters : counters;
-  cmutex : Mutex.t;
+  forwarded : int Atomic.t;  (* responses relayed from a backend *)
+  failovers : int Atomic.t;  (* backends skipped for transport failure *)
+  retries : int Atomic.t;  (* backends retried past a shed response *)
+  shed_relayed : int Atomic.t;  (* requests where every backend shed *)
   shed_backoff_ms : int;
   log : string -> unit;
-  mutable draining : bool;
   mutable daemon : Daemon.t option;
   mutable pinger : Health.pinger option;
 }
@@ -80,29 +77,18 @@ let create ?(vnodes = 128) ?(shed_backoff_ms = 5) ?(log = fun _ -> ()) ~backends
     pools =
       List.map (fun a -> (a, { pmutex = Mutex.create (); idle = []; closed = false })) backends;
     addrs;
-    counters = { forwarded = 0; failovers = 0; retries = 0; shed_relayed = 0 };
-    cmutex = Mutex.create ();
+    forwarded = Atomic.make 0;
+    failovers = Atomic.make 0;
+    retries = Atomic.make 0;
+    shed_relayed = Atomic.make 0;
     shed_backoff_ms;
     log;
-    draining = false;
     daemon = None;
     pinger = None;
   }
 
 let ring t = t.ring
 let health t = t.health
-
-let bump t f =
-  Mutex.lock t.cmutex;
-  f t.counters;
-  Mutex.unlock t.cmutex
-
-let counters t =
-  Mutex.lock t.cmutex;
-  let c = t.counters in
-  let copy = (c.forwarded, c.failovers, c.retries, c.shed_relayed) in
-  Mutex.unlock t.cmutex;
-  copy
 
 (* ------------------------------------------------------------------ *)
 (* Backend connections: a small per-backend pool of idle connections.  *)
@@ -181,29 +167,17 @@ let rec attempt t addr payload ~fresh_retry =
 let attempt t addr payload = attempt t addr payload ~fresh_retry:true
 
 (* ------------------------------------------------------------------ *)
-(* Canonical JSON response text (same discipline as [Service]).        *)
-
-let jstr s = "\"" ^ T.json_escape s ^ "\""
-
-let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
-
-let arr items = "[" ^ String.concat "," items ^ "]"
-let ok_response fields = obj (("ok", "true") :: fields)
-
-let error_response ~code ~error msg =
-  obj
-    [ ("ok", "false"); ("error", jstr error); ("code", string_of_int code); ("msg", jstr msg) ]
+(* Forwarding with failover                                            *)
 
 let no_backend_response =
   error_response ~code:502 ~error:"no-backend" "no backend reachable; cluster is down"
 
 let cancelled_response = error_response ~code:499 ~error:"cancelled" "client went away"
 
-(* ------------------------------------------------------------------ *)
-(* Forwarding with failover                                            *)
-
+(* Only an error reply is parsed: a success is known by its prefix. *)
 let is_shed response =
+  (not (is_ok response))
+  &&
   match T.member "error" (T.json_of_string response) with
   | Some (T.Jstr ("overloaded" | "shutting-down")) -> true
   | _ -> false
@@ -227,7 +201,7 @@ let forward t ~key payload ~cancelled =
     | [] -> (
         match last_shed with
         | Some shed ->
-            bump t (fun c -> c.shed_relayed <- c.shed_relayed + 1);
+            Atomic.incr t.shed_relayed;
             shed
         | None -> no_backend_response)
     | addr :: rest ->
@@ -248,18 +222,18 @@ let forward t ~key payload ~cancelled =
               (* Shedding is load, not death: the backend stays healthy,
                  the request moves on after a brief backoff so a burst
                  does not hammer every replica in a tight loop. *)
-              bump t (fun c -> c.retries <- c.retries + 1);
+              Atomic.incr t.retries;
               t.log (Printf.sprintf "backend %s shed; retrying next replica" addr);
               if rest <> [] && t.shed_backoff_ms > 0 then
                 Thread.delay (float_of_int t.shed_backoff_ms /. 1000.);
               go rest (Some response)
           | Reply response ->
               Health.mark_up t.health addr;
-              bump t (fun c -> c.forwarded <- c.forwarded + 1);
+              Atomic.incr t.forwarded;
               response
           | Transport msg ->
               Health.mark_down t.health addr ~error:msg;
-              bump t (fun c -> c.failovers <- c.failovers + 1);
+              Atomic.incr t.failovers;
               Stdx.Trace.instant "proxy.failover"
                 ~args:[ ("backend", Stdx.Trace.Str addr) ];
               t.log (Printf.sprintf "backend %s failed (%s); failing over" addr msg);
@@ -302,7 +276,6 @@ let handle_cluster t =
    and contributes only its address and health flag. *)
 let render_stats ~version ~uptime_s ~(m : Metrics.snapshot) ~forwarded ~failovers ~retries
     ~shed_relayed ~backends =
-  let f = T.float_repr in
   let mem j path =
     List.fold_left
       (fun acc k -> match acc with Some j -> T.member k j | None -> None)
@@ -312,32 +285,23 @@ let render_stats ~version ~uptime_s ~(m : Metrics.snapshot) ~forwarded ~failover
   let render_at j path =
     match mem j path with Some v -> T.string_of_json v | None -> "0"
   in
-  let sum path =
-    List.fold_left
-      (fun acc (_, _, stats) -> match stats with Some j -> acc + int_at j path | None -> acc)
-      0 backends
+  let live = List.filter_map (fun (_, _, stats) -> stats) backends in
+  (* Counters under [path], each summed across the live backends. *)
+  let sum path fields =
+    List.map
+      (fun k ->
+        (k, string_of_int (List.fold_left (fun acc j -> acc + int_at j (path @ [ k ])) 0 live)))
+      fields
   in
-  let by_op_merged =
-    let tbl = Hashtbl.create 8 in
-    List.iter
-      (fun (_, _, stats) ->
-        match stats with
-        | Some j -> (
-            match mem j [ "requests"; "by_op" ] with
-            | Some (T.Jobj fields) ->
-                List.iter
-                  (fun (op, v) ->
-                    match v with
-                    | T.Jint n ->
-                        Hashtbl.replace tbl op
-                          (n + Option.value ~default:0 (Hashtbl.find_opt tbl op))
-                    | _ -> ())
-                  fields
-            | _ -> ())
-        | None -> ())
-      backends;
-    Hashtbl.fold (fun k v acc -> (k, string_of_int v) :: acc) tbl []
-    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  let by_op =
+    List.concat_map
+      (fun j ->
+        match mem j [ "requests"; "by_op" ] with
+        | Some (T.Jobj fields) ->
+            List.filter_map (fun (op, v) -> match v with T.Jint _ -> Some op | _ -> None) fields
+        | _ -> [])
+      live
+    |> List.sort_uniq compare
   in
   let backend_json (addr, healthy, stats) =
     match stats with
@@ -361,11 +325,12 @@ let render_stats ~version ~uptime_s ~(m : Metrics.snapshot) ~forwarded ~failover
   let healthy_count =
     List.fold_left (fun n (_, h, _) -> if h then n + 1 else n) 0 backends
   in
+  let requests, latency = Service.metrics_blocks m in
   ok_response
     [
       ("op", jstr "stats");
       ("version", jstr version);
-      ("uptime_s", f uptime_s);
+      ("uptime_s", T.float_repr uptime_s);
       ( "cluster",
         obj
           [
@@ -379,63 +344,34 @@ let render_stats ~version ~uptime_s ~(m : Metrics.snapshot) ~forwarded ~failover
             ("failovers", string_of_int failovers);
             ("retries", string_of_int retries);
             ("shed_relayed", string_of_int shed_relayed);
-            ( "requests",
-              obj
-                [
-                  ("total", string_of_int m.Metrics.total);
-                  ("errors", string_of_int m.Metrics.errors);
-                  ( "by_op",
-                    obj (List.map (fun (op, n) -> (op, string_of_int n)) m.Metrics.by_op) );
-                ] );
-            ( "latency_ms",
-              obj
-                [
-                  ("count", string_of_int m.Metrics.latency_count);
-                  ("p50", f m.Metrics.p50_ms);
-                  ("p90", f m.Metrics.p90_ms);
-                  ("p99", f m.Metrics.p99_ms);
-                  ("max", f m.Metrics.max_ms);
-                ] );
+            requests;
+            latency;
           ] );
       ( "requests",
         obj
-          [
-            ("total", string_of_int (sum [ "requests"; "total" ]));
-            ("errors", string_of_int (sum [ "requests"; "errors" ]));
-            ("by_op", obj by_op_merged);
-          ] );
-      ( "cache",
-        obj
-          [
-            ("hits", string_of_int (sum [ "cache"; "hits" ]));
-            ("misses", string_of_int (sum [ "cache"; "misses" ]));
-            ("entries", string_of_int (sum [ "cache"; "entries" ]));
-            ("bytes", string_of_int (sum [ "cache"; "bytes" ]));
-            ("evictions", string_of_int (sum [ "cache"; "evictions" ]));
-          ] );
+          (sum [ "requests" ] [ "total"; "errors" ]
+          @ [ ("by_op", obj (sum [ "requests"; "by_op" ] by_op)) ]) );
+      ("cache", obj (sum [ "cache" ] [ "hits"; "misses"; "entries"; "bytes"; "evictions" ]));
       ( "queue",
         obj
-          [
-            ("depth", string_of_int (sum [ "queue"; "depth" ]));
-            ("capacity", string_of_int (sum [ "queue"; "capacity" ]));
-            ("workers", string_of_int (sum [ "queue"; "workers" ]));
-            ("shed", string_of_int (sum [ "queue"; "shed" ]));
-            ("deadline_drops", string_of_int (sum [ "queue"; "deadline_drops" ]));
-            ("cancelled_drops", string_of_int (sum [ "queue"; "cancelled_drops" ]));
-          ] );
+          (sum [ "queue" ]
+             [ "depth"; "capacity"; "workers"; "shed"; "deadline_drops"; "cancelled_drops" ]) );
       ("backends", arr (List.map backend_json backends));
     ]
 
-(* Probe one backend with a `ping` — the health sweep's instrument. *)
-let ping_backend t addr =
-  match attempt t addr "{\"op\":\"ping\"}" with
-  | Reply r -> (
-      match T.member "ok" (T.json_of_string r) with
-      | Some (T.Jbool true) -> Ok ()
-      | _ -> Error "ping returned an error"
-      | exception T.Parse_error _ -> Error "ping returned garbage JSON")
+(* One proxy-originated RPC to one backend, parsed: [Ok] only for an
+   [ok:true] reply. [ping] is the health sweep's instrument; [stats] feeds
+   the cluster view. *)
+let probe t addr op =
+  match attempt t addr (obj [ ("op", jstr op) ]) with
   | Transport msg -> Error msg
+  | Reply r -> (
+      match T.json_of_string r with
+      | j when T.member "ok" j = Some (T.Jbool true) -> Ok j
+      | _ -> Error (op ^ " returned an error")
+      | exception T.Parse_error _ -> Error (op ^ " returned garbage JSON"))
 
+let ping_backend t addr = probe t addr "ping"
 let check_health t = Health.sweep t.health ~ping:(ping_backend t)
 
 (* Live `stats`: snapshot every backend, then aggregate. The probe itself
@@ -444,74 +380,40 @@ let handle_stats t =
   let backends =
     List.map
       (fun addr ->
-        let stats =
-          match attempt t addr "{\"op\":\"stats\"}" with
-          | Reply r -> (
-              match T.json_of_string r with
-              | j when T.member "ok" j = Some (T.Jbool true) ->
-                  Health.mark_up t.health addr;
-                  Some j
-              | _ ->
-                  Health.mark_down t.health addr ~error:"stats returned an error";
-                  None
-              | exception T.Parse_error _ ->
-                  Health.mark_down t.health addr ~error:"stats returned garbage JSON";
-                  None)
-          | Transport msg ->
-              Health.mark_down t.health addr ~error:msg;
-              None
-        in
-        (addr, Health.healthy t.health addr, stats))
+        let stats = probe t addr "stats" in
+        Health.record t.health addr stats;
+        (addr, Health.healthy t.health addr, Result.to_option stats))
       (Ring.backends t.ring)
   in
   let m = Metrics.snapshot t.metrics in
-  let forwarded, failovers, retries, shed_relayed = counters t in
-  render_stats ~version:Stdx.Version.current ~uptime_s:m.Metrics.uptime_s ~m ~forwarded
-    ~failovers ~retries ~shed_relayed ~backends
+  render_stats ~version:Stdx.Version.current ~uptime_s:m.Metrics.uptime_s ~m
+    ~forwarded:(Atomic.get t.forwarded) ~failovers:(Atomic.get t.failovers)
+    ~retries:(Atomic.get t.retries) ~shed_relayed:(Atomic.get t.shed_relayed) ~backends
 
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 
-let bad_request msg = error_response ~code:400 ~error:"bad-request" msg
-
 let handle t ?(cancelled = fun () -> false) payload =
-  let t0 = Unix.gettimeofday () in
-  let op, response, shutdown =
-    match T.json_of_string payload with
-    | exception T.Parse_error msg -> ("parse-error", bad_request ("invalid JSON: " ^ msg), false)
-    | j -> (
-        match T.member "op" j with
-        | Some (T.Jstr "ping") -> ("ping", handle_ping t, false)
-        | Some (T.Jstr "cluster") -> ("cluster", handle_cluster t, false)
-        | Some (T.Jstr "stats") -> ("stats", handle_stats t, false)
-        | Some (T.Jstr "shutdown") ->
-            t.draining <- true;
-            ( "shutdown",
-              ok_response
-                [ ("op", jstr "shutdown"); ("msg", jstr "proxy draining; no new requests") ],
-              true )
-        | Some (T.Jstr op) ->
-            (* Compute requests route by their canonical cache key — the
-               whole point: a request always lands on the backend whose
-               cache holds (or will hold) its entry. Anything without a
-               key (`list`, unknown ops, invalid compute requests) routes
-               by the raw payload, still deterministic, and the backend
-               answers with its own taxonomy. *)
-            let key = Option.value ~default:payload (Service.request_key j) in
-            (op, forward t ~key payload ~cancelled, false)
-        | Some _ | None ->
-            ("bad-op", bad_request "request needs a string field \"op\"", false))
-  in
-  let t1 = Unix.gettimeofday () in
-  let ms = (t1 -. t0) *. 1000. in
-  let ok = String.length response >= 11 && String.sub response 0 11 = "{\"ok\":true," in
-  if Stdx.Trace.enabled () then
-    Stdx.Trace.complete ~args:[ ("ok", Stdx.Trace.Bool ok) ] ~t0 ~t1 ("proxy." ^ op);
-  Metrics.record t.metrics ~op ~ok ~ms;
-  t.log (Printf.sprintf "op=%s status=%s ms=%.2f" op (if ok then "ok" else "error") ms);
-  { Service.payload = response; shutdown }
-
-let draining t = t.draining
+  Scheduler.await
+  @@ fun k ->
+  Service.serve t.metrics ~log:t.log ~span:"proxy." payload ~k ~route:(fun op j finish ->
+      match op with
+      | "ping" -> finish op (handle_ping t)
+      | "cluster" -> finish op (handle_cluster t)
+      | "stats" -> finish op (handle_stats t)
+      | "shutdown" ->
+          finish op
+            (ok_response
+               [ ("op", jstr "shutdown"); ("msg", jstr "proxy draining; no new requests") ])
+      | _ ->
+          (* Compute requests route by their canonical cache key — the
+             whole point: a request always lands on the backend whose
+             cache holds (or will hold) its entry. Anything without a
+             key (`list`, unknown ops, invalid compute requests) routes
+             by the raw payload, still deterministic, and the backend
+             answers with its own taxonomy. *)
+          let key = Option.value ~default:payload (Service.request_key j) in
+          finish op (forward t ~key payload ~cancelled))
 
 let close t =
   (match t.pinger with
@@ -525,13 +427,12 @@ let close t =
 (* TCP front: the generic daemon around [handle]                       *)
 
 let start ?host ?port ?vnodes ?(health_interval_s = 2.0) ?shed_backoff_ms ?max_conns
-    ?idle_timeout_s ?rate_limit ?keepalive ?dispatch_threads ?log ~backends () =
+    ?idle_timeout_s ?rate_limit ?keepalive ?log ~backends () =
   let t = create ?vnodes ?shed_backoff_ms ?log ~backends () in
   let daemon =
     Daemon.start_handler ?host ?port
       ~on_drain:(fun () -> close t)
       ~metrics:t.metrics ?max_conns ?idle_timeout_s ?rate_limit ?keepalive
-      ?dispatch_threads
       ~handle:(fun ~cancelled payload -> handle t ~cancelled payload)
       ()
   in

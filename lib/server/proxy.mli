@@ -14,7 +14,11 @@
     ring successor; a shed response (429/503) backs off briefly and tries
     the next replica, relaying the final shed response only when every
     backend sheds. No backend reachable at all is error 502
-    [no-backend]. *)
+    [no-backend].
+
+    The proxy has no request plumbing of its own: replies are built with
+    {!Service.Codec} and every request goes through {!Service.serve}, the
+    envelope sketchd uses, under [proxy.<op>] trace spans. *)
 
 type t
 (** One proxy instance (with or without a TCP front). *)
@@ -36,8 +40,9 @@ val create :
 
 val handle : t -> ?cancelled:(unit -> bool) -> string -> Service.reply
 (** Process one request payload, forwarding compute ops with failover.
-    Same contract as {!Service.handle}: never raises, every failure is an
-    [ok:false] payload. *)
+    Blocking (the daemon runs it on its dispatch threads). Same contract
+    as {!Service.handle}: never raises, every failure is an [ok:false]
+    payload. *)
 
 val ring : t -> Ring.t
 (** The routing ring — exposed so tests can predict placement. *)
@@ -48,9 +53,6 @@ val health : t -> Health.t
 val check_health : t -> unit
 (** One synchronous [ping] sweep of every backend (what the background
     pinger runs periodically). *)
-
-val draining : t -> bool
-(** Has a [shutdown] request been accepted? *)
 
 val close : t -> unit
 (** Stop the pinger (if started) and close pooled backend connections.
@@ -71,7 +73,8 @@ val render_stats :
     without live backends. [backends] carries each backend's address,
     health verdict, and parsed [stats] response ([None] = unreachable).
     Counter fields sum across backends; latency percentiles stay
-    per-backend (they do not aggregate). *)
+    per-backend (they do not aggregate). The proxy's own [requests] and
+    [latency_ms] blocks are {!Service.metrics_blocks} of [m]. *)
 
 (** {1 TCP front} *)
 
@@ -85,7 +88,6 @@ val start :
   ?idle_timeout_s:float ->
   ?rate_limit:float ->
   ?keepalive:bool ->
-  ?dispatch_threads:int ->
   ?log:(string -> unit) ->
   backends:string list ->
   unit ->
@@ -94,8 +96,8 @@ val start :
     event engine, frame reassembly and graceful drain as sketchd — the
     proxy inherits every connection knob) and start a background health
     pinger sweeping every [health_interval_s] (default 2.0) seconds.
-    [max_conns]/[idle_timeout_s]/[rate_limit]/[keepalive]/[dispatch_threads]
-    are {!Daemon.start_handler}'s; the daemon feeds connection gauges into
+    [max_conns]/[idle_timeout_s]/[rate_limit]/[keepalive] are
+    {!Daemon.start_handler}'s; the daemon feeds connection gauges into
     this proxy's own metrics. [port 0] (the default) lets the kernel
     choose — read it back with {!port}. *)
 

@@ -45,31 +45,32 @@ let create ?(workers = 2) ?(capacity = 16) () =
 
 let workers t = Stdx.Parallel.Pool.workers t.pool
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+let locked t f = Mutex.protect t.mutex f
 
-(* Per-request result cell the submitting thread blocks on. *)
-type 'a cell = {
-  cmutex : Mutex.t;
-  cond : Condition.t;
-  mutable result : ('a, error) result option;
-}
-
-let fill cell r =
-  Mutex.lock cell.cmutex;
-  cell.result <- Some r;
-  Condition.signal cell.cond;
-  Mutex.unlock cell.cmutex
-
-let await cell =
-  Mutex.lock cell.cmutex;
-  while cell.result = None do
-    Condition.wait cell.cond cell.cmutex
-  done;
-  let r = match cell.result with Some r -> r | None -> assert false in
-  Mutex.unlock cell.cmutex;
-  r
+(* The one blocking result cell of the serving stack: run a
+   continuation-style call and park the calling thread until its [k] has
+   fired. [run] below and [Service.handle] are this over their async
+   twins. *)
+let await start =
+  let m = Mutex.create () in
+  let c = Condition.create () in
+  let result = ref None in
+  start (fun v ->
+      Mutex.lock m;
+      result := Some v;
+      Condition.signal c;
+      Mutex.unlock m);
+  Mutex.lock m;
+  let rec wait () =
+    match !result with
+    | Some v -> v
+    | None ->
+        Condition.wait c m;
+        wait ()
+  in
+  let v = wait () in
+  Mutex.unlock m;
+  v
 
 (* Asynchronous submission: admission happens here (a shed request's [k]
    runs synchronously on the caller — the event thread gets its 429
@@ -123,10 +124,7 @@ let submit t ?deadline ?(cancelled = fun () -> false) f ~k =
         k (Error Shutting_down)
       end
 
-let run t ?deadline ?cancelled f =
-  let cell = { cmutex = Mutex.create (); cond = Condition.create (); result = None } in
-  submit t ?deadline ?cancelled f ~k:(fill cell);
-  await cell
+let run t ?deadline ?cancelled f = await (fun k -> submit t ?deadline ?cancelled f ~k)
 
 type stats = {
   depth : int;
@@ -153,10 +151,3 @@ let stats t =
 let shutdown t =
   locked t (fun () -> t.closing <- true);
   Stdx.Parallel.Pool.shutdown t.pool
-
-let string_of_error = function
-  | Overloaded -> "overloaded"
-  | Deadline_exceeded -> "deadline-exceeded"
-  | Cancelled -> "cancelled"
-  | Shutting_down -> "shutting-down"
-  | Failed msg -> "failed: " ^ msg

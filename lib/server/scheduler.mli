@@ -42,9 +42,16 @@ val submit :
     worker; [cancelled] is probed at the same point. *)
 
 val run : t -> ?deadline:float -> ?cancelled:(unit -> bool) -> (unit -> 'a) -> ('a, error) result
-(** {!submit} plus a blocking wait for the outcome — the synchronous
-    convenience used by tests and anything with a thread to park. Safe to
-    call from many threads concurrently. *)
+(** {!submit} plus a blocking wait for the outcome ({!await}) — the
+    synchronous convenience used by tests and anything with a thread to
+    park. Safe to call from many threads concurrently. *)
+
+val await : (('a -> unit) -> unit) -> 'a
+(** [await start] calls [start k] and parks the calling thread until [k]
+    has been called (from any thread or domain, or synchronously inside
+    [start]); returns [k]'s argument. The blocking bridge over every
+    continuation-style call in the serving stack: {!run},
+    [Service.handle], [Proxy.handle]. *)
 
 type stats = {
   depth : int;  (** queued + running right now *)
@@ -63,7 +70,3 @@ val stats : t -> stats
 val shutdown : t -> unit
 (** Refuse new work and block until everything already admitted finishes.
     Idempotent. *)
-
-val string_of_error : error -> string
-(** Stable machine-readable tag, e.g. ["overloaded"] — the wire
-    protocol's [error] field. *)

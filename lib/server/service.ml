@@ -1,16 +1,19 @@
 (* The daemon's brain, socket-free: parse a request payload, dispatch, and
    produce a response payload. Keeping this layer free of file descriptors
    makes every endpoint unit-testable in-process; [Daemon] only adds TCP
-   framing, threads and signals around [handle].
+   framing and the event loop around [handle_async].
 
    Request/response bodies are JSON objects through [Report.Tabular]'s
    bundled codec. Responses are built as canonical strings (object fields
    in fixed order, no whitespace) so that a cached payload is byte-
    identical to a recomputed one — the end-to-end determinism the CI smoke
-   job asserts with `diff`.
+   job asserts with `diff`. The reply codec, the request envelope
+   ([serve]) and the metrics blocks of `stats` live here once and are
+   shared by [Proxy] and [Daemon], so every frame either front builds
+   goes through one JSON writer.
 
    Cheap endpoints (`ping`, `list`, `stats`, `shutdown`) are answered on
-   the calling (connection) thread; compute endpoints (`run`, `simulate`)
+   the calling (event) thread; compute endpoints (`run`, `simulate`)
    first consult the result cache and only then go through the bounded
    [Scheduler] onto a worker domain. *)
 
@@ -35,34 +38,65 @@ let create ?(workers = 2) ?(capacity = 16) ?cache_entries ?cache_bytes
     draining = false;
   }
 
-let scheduler t = t.scheduler
 let cache t = t.cache
 let metrics t = t.metrics
 
 (* ------------------------------------------------------------------ *)
-(* Response building: canonical JSON text                              *)
+(* Response building: canonical JSON text, shared with [Proxy] and
+   [Daemon] so every frame the serving tier builds has one writer.       *)
 
-let jstr s = "\"" ^ T.json_escape s ^ "\""
+module Codec = struct
+  let jstr s = "\"" ^ T.json_escape s ^ "\""
 
-(* Fields are pre-rendered JSON text; order is the order given. *)
-let obj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
+  (* Fields are pre-rendered JSON text; order is the order given. *)
+  let obj fields =
+    "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
 
-let arr items = "[" ^ String.concat "," items ^ "]"
-let ok_response fields = obj (("ok", "true") :: fields)
+  let arr items = "[" ^ String.concat "," items ^ "]"
+  let ok_response fields = obj (("ok", "true") :: fields)
 
-(* Machine-readable [error] tag, HTTP-flavoured [code], human [msg]. *)
-let error_response ~code ~error msg =
-  obj
-    [
-      ("ok", "false");
-      ("error", jstr error);
-      ("code", string_of_int code);
-      ("msg", jstr msg);
-    ]
+  (* Machine-readable [error] tag, HTTP-flavoured [code], human [msg]. *)
+  let error_response ~code ~error msg =
+    obj
+      [
+        ("ok", "false");
+        ("error", jstr error);
+        ("code", string_of_int code);
+        ("msg", jstr msg);
+      ]
 
-let bad_request msg = error_response ~code:400 ~error:"bad-request" msg
+  let bad_request msg = error_response ~code:400 ~error:"bad-request" msg
+
+  (* Every canonical success starts with this exact prefix, so the
+     envelope classifies a reply without parsing it. *)
+  let is_ok response =
+    String.length response >= 11 && String.sub response 0 11 = "{\"ok\":true,"
+end
+
+open Codec
+
 let not_found msg = error_response ~code:404 ~error:"not-found" msg
+
+(* The [requests] and [latency_ms] blocks of a `stats` reply — the
+   service's own and the proxy's own end-to-end view. *)
+let metrics_blocks (m : Metrics.snapshot) =
+  let f = T.float_repr in
+  ( ( "requests",
+      obj
+        [
+          ("total", string_of_int m.total);
+          ("errors", string_of_int m.errors);
+          ("by_op", obj (List.map (fun (op, n) -> (op, string_of_int n)) m.by_op));
+        ] ),
+    ( "latency_ms",
+      obj
+        [
+          ("count", string_of_int m.latency_count);
+          ("p50", f m.p50_ms);
+          ("p90", f m.p90_ms);
+          ("p99", f m.p99_ms);
+          ("max", f m.max_ms);
+        ] ) )
 
 let of_scheduler_error = function
   | Scheduler.Overloaded -> error_response ~code:429 ~error:"overloaded" "queue full; retry later"
@@ -167,19 +201,13 @@ let handle_stats t =
   let m = Metrics.snapshot t.metrics in
   let c = Cache.stats t.cache in
   let s = Scheduler.stats t.scheduler in
-  let f = T.float_repr in
+  let requests, latency = metrics_blocks m in
   ok_response
     [
       ("op", jstr "stats");
       ("version", jstr Stdx.Version.current);
-      ("uptime_s", f m.Metrics.uptime_s);
-      ( "requests",
-        obj
-          [
-            ("total", string_of_int m.Metrics.total);
-            ("errors", string_of_int m.Metrics.errors);
-            ("by_op", obj (List.map (fun (op, n) -> (op, string_of_int n)) m.Metrics.by_op));
-          ] );
+      ("uptime_s", T.float_repr m.Metrics.uptime_s);
+      requests;
       ( "cache",
         obj
           [
@@ -200,15 +228,7 @@ let handle_stats t =
             ("deadline_drops", string_of_int s.Scheduler.deadline_drops);
             ("cancelled_drops", string_of_int s.Scheduler.cancelled_drops);
           ] );
-      ( "latency_ms",
-        obj
-          [
-            ("count", string_of_int m.Metrics.latency_count);
-            ("p50", f m.Metrics.p50_ms);
-            ("p90", f m.Metrics.p90_ms);
-            ("p99", f m.Metrics.p99_ms);
-            ("max", f m.Metrics.max_ms);
-          ] );
+      latency;
       ( "trace",
         let tr = Stdx.Trace.stats () in
         obj
@@ -286,32 +306,8 @@ let handle_cache t j =
       bad_request (Printf.sprintf "unknown cache action %S (stats, keys or invalidate)" a)
   | None -> bad_request "cache needs a string field \"action\" (stats, keys or invalidate)"
 
-(* Consult the cache under [key]; on a miss compute the payload on a worker
-   domain through the bounded scheduler. [k] receives the response and
-   whether it was served from cache — synchronously on the caller for a
-   hit or a shed, from the worker domain after a computed miss. *)
-let cached_compute t ~key ~deadline ~cancelled compute ~k =
-  match Cache.find t.cache key with
-  | Some payload -> k (payload, true)
-  | None ->
-      (* The "service.schedule" span covers queueing + compute on the
-         worker; the nested "scheduler.compute" span isolates the compute
-         part, so the gap between the two is time spent waiting for a
-         worker slot. Recorded with [complete] because connection threads
-         share domains and may interleave. *)
-      let t0 = Unix.gettimeofday () in
-      Scheduler.submit t.scheduler ?deadline ~cancelled compute ~k:(fun outcome ->
-          Stdx.Trace.complete ~t0 ~t1:(Unix.gettimeofday ()) "service.schedule";
-          match outcome with
-          | Ok payload ->
-              Cache.add t.cache key payload;
-              k (payload, false)
-          | Error e -> k (of_scheduler_error e, false))
-
 (* Assemble and validate a [run] request's merged parameter list against
-   experiment [e]'s spec — shared by [handle_run] and [request_key] so the
-   proxy's routing key derivation is exactly the cache key derivation.
-   [Error] carries a ready-to-send error response. *)
+   experiment [e]'s spec. [Error] carries a ready-to-send error response. *)
 let merged_of_run_request e j =
   match overrides_of_json j with
   | Error msg -> Error (bad_request msg)
@@ -352,49 +348,24 @@ let merged_of_run_request e j =
                       | R.Vints _ -> "an integer array")))
           | None -> Ok merged))
 
-let simulate_key ~protocol ~graph ~seed =
-  Printf.sprintf "simulate?protocol=%s&graph=%s&seed=%d" protocol
-    (T.string_of_json (Simulate.json_of_gspec graph))
-    seed
+(* A validated compute request: the cache key its payload is stored
+   under, the computation producing that payload, and the log line for a
+   cache decision. [request_key] (the proxy's routing key) and the
+   handlers both derive it here, so routing and caching cannot disagree
+   on a key. [Error] carries a ready-to-send error response. *)
+type compute = { key : string; compute : unit -> string; note : bool -> string }
 
-(* The canonical cache key a compute request will be stored under — what
-   the proxy consistent-hashes on, so every replica of a request lands on
-   the backend already holding (or about to hold) its cache entry.
-   [None] when the request is not a valid [run]/[simulate]: those never
-   reach a cache and may be routed anywhere. *)
-let request_key j =
-  match str_field j "op" with
-  | Some "run" -> (
-      match str_field j "id" with
-      | None -> None
-      | Some id -> (
-          match Core.Exp_all.find id with
-          | None -> None
-          | Some e -> (
-              match merged_of_run_request e j with
-              | Ok merged -> Some (canonical_key id merged)
-              | Error _ -> None)))
-  | Some "simulate" -> (
-      match (str_field j "protocol", T.member "graph" j) with
-      | Some protocol, Some gj when Option.is_some (Simulate.find protocol) -> (
-          match Simulate.gspec_of_json gj with
-          | Ok graph when Simulate.compatible ~protocol graph ->
-              let seed = Option.value ~default:7 (int_field j "seed") in
-              Some (simulate_key ~protocol ~graph ~seed)
-          | Ok _ | Error _ -> None)
-      | _ -> None)
-  | _ -> None
+let cache_word hit = if hit then "hit" else "miss"
 
-let handle_run t ~cancelled j ~k =
+let run_request j =
   match str_field j "id" with
-  | None -> k (bad_request "run needs a string field \"id\"")
+  | None -> Error (bad_request "run needs a string field \"id\"")
   | Some id -> (
       match Core.Exp_all.find id with
-      | None -> k (not_found (Printf.sprintf "unknown experiment %S; see `list`" id))
-      | Some e -> (
-          match merged_of_run_request e j with
-          | Error response -> k response
-          | Ok merged ->
+      | None -> Error (not_found (Printf.sprintf "unknown experiment %S; see `list`" id))
+      | Some e ->
+          Result.map
+            (fun merged ->
               let key = canonical_key id merged in
               let compute () =
                 let tbl = R.table e merged in
@@ -408,115 +379,140 @@ let handle_run t ~cancelled j ~k =
                     ("rows", arr rows);
                   ]
               in
-              cached_compute t ~key ~deadline:(deadline_of j) ~cancelled compute
-                ~k:(fun (payload, hit) ->
-                  t.log
-                    (Printf.sprintf "op=run id=%s cache=%s key=%S" id
-                       (if hit then "hit" else "miss")
-                       key);
-                  k payload)))
+              let note hit =
+                Printf.sprintf "op=run id=%s cache=%s key=%S" id (cache_word hit) key
+              in
+              { key; compute; note })
+            (merged_of_run_request e j))
 
-let handle_simulate t ~cancelled j ~k =
+let simulate_request j =
   match str_field j "protocol" with
-  | None -> k (bad_request "simulate needs a string field \"protocol\"")
+  | None -> Error (bad_request "simulate needs a string field \"protocol\"")
   | Some name when Option.is_none (Simulate.find name) ->
-      k
+      Error
         (bad_request
            (Printf.sprintf "unknown protocol %S; valid protocols: %s" name
               (String.concat ", "
                  (List.map (fun (e : Simulate.entry) -> e.name) Simulate.catalogue))))
   | Some name -> (
       match T.member "graph" j with
-      | None -> k (bad_request "simulate needs an object field \"graph\"")
+      | None -> Error (bad_request "simulate needs an object field \"graph\"")
       | Some gj -> (
           match Simulate.gspec_of_json gj with
-          | Error msg -> k (bad_request msg)
+          | Error msg -> Error (bad_request msg)
           | Ok graph when not (Simulate.compatible ~protocol:name graph) ->
-              k
+              Error
                 (bad_request
                    (Printf.sprintf "protocol %S cannot run on a %s input" name
                       (T.string_of_json (Simulate.json_of_gspec graph))))
           | Ok graph ->
               let seed = Option.value ~default:7 (int_field j "seed") in
-              let spec = { Simulate.protocol = name; graph; seed } in
-              let key = simulate_key ~protocol:name ~graph ~seed in
+              let key =
+                Printf.sprintf "simulate?protocol=%s&graph=%s&seed=%d" name
+                  (T.string_of_json (Simulate.json_of_gspec graph))
+                  seed
+              in
               let compute () =
-                let fields = Simulate.run spec in
+                let fields = Simulate.run { Simulate.protocol = name; graph; seed } in
                 ok_response
                   (("op", jstr "simulate")
                   :: List.map (fun (k, v) -> (k, T.string_of_json v)) fields)
               in
-              cached_compute t ~key ~deadline:(deadline_of j) ~cancelled compute
-                ~k:(fun (payload, hit) ->
-                  t.log
-                    (Printf.sprintf "op=simulate protocol=%s cache=%s" name
-                       (if hit then "hit" else "miss"));
-                  k payload)))
+              let note hit =
+                Printf.sprintf "op=simulate protocol=%s cache=%s" name (cache_word hit)
+              in
+              Ok { key; compute; note }))
+
+let request_key j =
+  let request =
+    match str_field j "op" with
+    | Some "run" -> run_request j
+    | Some "simulate" -> simulate_request j
+    | _ -> Error ""
+  in
+  match request with Ok c -> Some c.key | Error _ -> None
+
+(* Consult the cache under the request's key; on a miss compute the
+   payload on a worker domain through the bounded scheduler. [k] runs
+   synchronously on the caller for an invalid request, a hit or a shed,
+   and from the worker domain after a computed miss. *)
+let handle_compute t ~cancelled j request ~k =
+  match request with
+  | Error response -> k response
+  | Ok c -> (
+      let k hit payload =
+        t.log (c.note hit);
+        k payload
+      in
+      match Cache.find t.cache c.key with
+      | Some payload -> k true payload
+      | None ->
+          (* The "service.schedule" span covers queueing + compute on the
+             worker; the nested "scheduler.compute" span isolates the
+             compute part, so the gap between the two is time spent
+             waiting for a worker slot. Recorded with [complete] because
+             requests share domains and may interleave. *)
+          let t0 = Unix.gettimeofday () in
+          Scheduler.submit t.scheduler ?deadline:(deadline_of j) ~cancelled c.compute
+            ~k:(fun outcome ->
+              Stdx.Trace.complete ~t0 ~t1:(Unix.gettimeofday ()) "service.schedule";
+              match outcome with
+              | Ok payload ->
+                  Cache.add t.cache c.key payload;
+                  k false payload
+              | Error e -> k false (of_scheduler_error e)))
 
 (* ------------------------------------------------------------------ *)
-(* Dispatch                                                            *)
+(* The request envelope                                                *)
 
 type reply = { payload : string; shutdown : bool }
 
-(* Close out one request: trace span, metrics, log line, then deliver.
-   Runs on whichever thread produced the response — the caller for cheap
-   ops and cache hits, a worker domain for computed misses — so the
-   "rpc.<op>" span and the recorded latency cover queueing + compute, the
-   same envelope the blocking dispatch used to measure. *)
-let finish t ~t0 ~op ~shutdown ~k response =
-  let t1 = Unix.gettimeofday () in
-  let ms = (t1 -. t0) *. 1000. in
-  let ok = String.length response >= 11 && String.sub response 0 11 = "{\"ok\":true," in
-  (* One span per request, named by op. [complete] (not begin_/end_):
-     requests from many connections share a domain, so a stack would
-     mis-pair. The args guard avoids building the list when tracing is
-     off. *)
-  if Stdx.Trace.enabled () then
-    Stdx.Trace.complete ~args:[ ("ok", Stdx.Trace.Bool ok) ] ~t0 ~t1 ("rpc." ^ op);
-  Metrics.record t.metrics ~op ~ok ~ms;
-  t.log (Printf.sprintf "op=%s status=%s ms=%.2f" op (if ok then "ok" else "error") ms);
-  k { payload = response; shutdown }
-
-let handle_async t ?(cancelled = fun () -> false) payload ~k =
+(* One request, front to back, for sketchd and sketchproxy alike: parse
+   the payload, answer unparseable or op-less requests itself, hand the
+   rest to [route], and close every reply out through [finish] — span,
+   metrics, log line, delivery. [finish] runs on whichever thread produced
+   the response (the caller for cheap ops and cache hits, a worker domain
+   for computed misses), so the "<span><op>" span and the recorded
+   latency cover queueing + compute. *)
+let serve metrics ~log ~span payload ~route ~k =
   let t0 = Unix.gettimeofday () in
-  let sync op response = finish t ~t0 ~op ~shutdown:false ~k response in
+  let finish op response =
+    let t1 = Unix.gettimeofday () in
+    let ms = (t1 -. t0) *. 1000. in
+    let ok = is_ok response in
+    (* [complete] (not begin_/end_): requests from many connections share
+       a domain, so a stack would mis-pair. The guard avoids building the
+       args when tracing is off. *)
+    if Stdx.Trace.enabled () then
+      Stdx.Trace.complete ~args:[ ("ok", Stdx.Trace.Bool ok) ] ~t0 ~t1 (span ^ op);
+    Metrics.record metrics ~op ~ok ~ms;
+    log (Printf.sprintf "op=%s status=%s ms=%.2f" op (if ok then "ok" else "error") ms);
+    (* Both fronts accept every `shutdown` they route. *)
+    k { payload = response; shutdown = String.equal op "shutdown" }
+  in
   match T.json_of_string payload with
-  | exception T.Parse_error msg -> sync "parse-error" (bad_request ("invalid JSON: " ^ msg))
+  | exception T.Parse_error msg -> finish "parse-error" (bad_request ("invalid JSON: " ^ msg))
   | j -> (
       match str_field j "op" with
-      | None -> sync "bad-op" (bad_request "request needs a string field \"op\"")
-      | Some "ping" -> sync "ping" (handle_ping t)
-      | Some "list" -> sync "list" (handle_list t)
-      | Some "stats" -> sync "stats" (handle_stats t)
-      | Some "cache" -> sync "cache" (handle_cache t j)
-      | Some "run" -> handle_run t ~cancelled j ~k:(finish t ~t0 ~op:"run" ~shutdown:false ~k)
-      | Some "simulate" ->
-          handle_simulate t ~cancelled j ~k:(finish t ~t0 ~op:"simulate" ~shutdown:false ~k)
-      | Some "shutdown" ->
-          t.draining <- true;
-          finish t ~t0 ~op:"shutdown" ~shutdown:true ~k
-            (ok_response [ ("op", jstr "shutdown"); ("msg", jstr "draining; no new requests") ])
-      | Some op -> sync "bad-op" (not_found (Printf.sprintf "unknown op %S" op)))
+      | None -> finish "bad-op" (bad_request "request needs a string field \"op\"")
+      | Some op -> route op j finish)
 
-(* Blocking convenience over [handle_async] — a result cell the calling
-   thread parks on. Used by in-process tests and anything with a thread
-   to spare; the event engine calls [handle_async] directly. *)
-let handle t ?cancelled payload =
-  let cmutex = Mutex.create () in
-  let cond = Condition.create () in
-  let result = ref None in
-  handle_async t ?cancelled payload ~k:(fun reply ->
-      Mutex.lock cmutex;
-      result := Some reply;
-      Condition.signal cond;
-      Mutex.unlock cmutex);
-  Mutex.lock cmutex;
-  while !result = None do
-    Condition.wait cond cmutex
-  done;
-  let reply = match !result with Some r -> r | None -> assert false in
-  Mutex.unlock cmutex;
-  reply
+let handle_async t ?(cancelled = fun () -> false) payload ~k =
+  serve t.metrics ~log:t.log ~span:"rpc." payload ~k ~route:(fun op j finish ->
+      match op with
+      | "ping" -> finish op (handle_ping t)
+      | "list" -> finish op (handle_list t)
+      | "stats" -> finish op (handle_stats t)
+      | "cache" -> finish op (handle_cache t j)
+      | "run" -> handle_compute t ~cancelled j (run_request j) ~k:(finish op)
+      | "simulate" -> handle_compute t ~cancelled j (simulate_request j) ~k:(finish op)
+      | "shutdown" ->
+          t.draining <- true;
+          finish op
+            (ok_response [ ("op", jstr "shutdown"); ("msg", jstr "draining; no new requests") ])
+      | op -> finish "bad-op" (not_found (Printf.sprintf "unknown op %S" op)))
+
+let handle t ?cancelled payload = Scheduler.await (fun k -> handle_async t ?cancelled payload ~k)
 
 let draining t = t.draining
 

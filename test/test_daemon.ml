@@ -273,13 +273,24 @@ let test_max_conns_shedding () =
 
 (* A [start_handler] handler that raises runs on a dispatch thread,
    outside [dispatch_one]'s synchronous guard: it must still answer a 500
-   [failed] frame, and the connection must keep serving afterwards. *)
+   [failed] frame, and the connection must keep serving afterwards. The
+   exception text carries UTF-8 and a control byte: the frame must still
+   be valid JSON whose [msg] is that text, for [Failure] (whose
+   [Printexc] rendering escapes its argument) and for an exception whose
+   registered printer passes its text through raw. *)
+exception Raw_text of string
+
+let () = Printexc.register_printer (function Raw_text s -> Some s | _ -> None)
+
 let test_raising_handler_answers_500 () =
+  let text = "caf\xc3\xa9\x01" in
   let handle ~cancelled:_ request =
-    if request = "boom" then failwith "handler blew up"
-    else { Server.Service.payload = "{\"ok\":true}"; shutdown = false }
+    match request with
+    | "boom" -> raise (Failure text)
+    | "raw" -> raise (Raw_text text)
+    | _ -> { Server.Service.payload = "{\"ok\":true}"; shutdown = false }
   in
-  let d = Server.Daemon.start_handler ~dispatch_threads:1 ~handle () in
+  let d = Server.Daemon.start_handler ~handle () in
   Fun.protect
     ~finally:(fun () ->
       Server.Daemon.stop ~abort_connections:true d;
@@ -291,10 +302,20 @@ let test_raising_handler_answers_500 () =
         (fun () ->
           (* A hung connection fails the read instead of the whole suite. *)
           Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
-          send_all fd (W.encode "boom");
-          let j = T.json_of_string (W.read_frame fd) in
-          checks "error tag" "failed" (error_tag j);
-          checkb "code 500" true (T.member "code" j = Some (T.Jint 500));
+          List.iter
+            (fun (request, e) ->
+              send_all fd (W.encode request);
+              let frame = W.read_frame fd in
+              let j =
+                try T.json_of_string frame
+                with T.Parse_error msg ->
+                  Alcotest.failf "%s: frame is not JSON (%s): %S" request msg frame
+              in
+              checks "error tag" "failed" (error_tag j);
+              checkb "code 500" true (T.member "code" j = Some (T.Jint 500));
+              checkb "msg round-trips" true
+                (T.member "msg" j = Some (T.Jstr (Printexc.to_string e))))
+            [ ("boom", Failure text); ("raw", Raw_text text) ];
           send_all fd (W.encode "ping");
           checkb "connection still serves" true (is_ok (T.json_of_string (W.read_frame fd)))))
 
