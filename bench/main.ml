@@ -1,20 +1,21 @@
 (* Bench harness: regenerates every table/figure of DESIGN.md §4 (the
-   paper's quantitative statements) and then times the computational kernel
-   behind each one with Bechamel.
+   paper's quantitative statements) and measures the serving stack.
 
-   Usage: dune exec bench/main.exe            (tables + micro-benches + serve)
+   Usage: dune exec bench/main.exe            (every mode below, in order)
           dune exec bench/main.exe -- tables  (tables only)
-          dune exec bench/main.exe -- bench   (micro-benches only)
           dune exec bench/main.exe -- serve   (sketchd end-to-end latency)
+          dune exec bench/main.exe -- cluster (sketchproxy end-to-end latency)
           dune exec bench/main.exe -- streams (multipass per-round/per-pass accounting)
 
    The tables pass also writes BENCH_tables.json (JSON-lines: one object
    per table with id, wall-clock and rows); `--fast` shrinks sizes. *)
 
-open Bechamel
-open Toolkit
 module R = Core.Exp_registry
 module T = Report.Tabular
+
+(* Every string in the BENCH_*.json lines goes through the daemon's JSON
+   escaper; OCaml's [%S] escapes are not JSON. *)
+let jstr = Server.Service.Codec.jstr
 
 (* Regenerate every registered table (text to stdout, as `run_all` always
    did) and seed BENCH_tables.json: one JSON line per table with its id,
@@ -55,15 +56,15 @@ let tables ?(fast = false) ?jobs () =
       let phases_json =
         "{"
         ^ String.concat ","
-            (List.map (fun (name, s) -> Printf.sprintf "%S:%s" name (T.float_repr s)) phases)
+            (List.map (fun (name, s) -> jstr name ^ ":" ^ T.float_repr s) phases)
         ^ "}"
       in
       let rows = List.map (T.json_of_row tbl.T.schema) tbl.T.rows in
       Printf.fprintf oc
-        "{\"id\":%S,\"title\":%S,\"wall_s\":%s,\"alloc_bytes\":%.0f,\"minor_collections\":%d,\"major_collections\":%d,\"phases\":%s,\"rows\":[%s]}\n"
-        (R.id e) (R.title e) (T.float_repr wall) gc.R.alloc_bytes gc.R.minor_collections
-        gc.R.major_collections phases_json (String.concat "," rows))
-    (Core.Exp_all.all ());
+        "{\"id\":%s,\"title\":%s,\"wall_s\":%s,\"alloc_bytes\":%.0f,\"minor_collections\":%d,\"major_collections\":%d,\"phases\":%s,\"rows\":[%s]}\n"
+        (jstr (R.id e)) (jstr (R.title e)) (T.float_repr wall) gc.R.alloc_bytes
+        gc.R.minor_collections gc.R.major_collections phases_json (String.concat "," rows))
+    Core.Exp_all.experiments;
   Printf.printf
     "\nTotal wall-clock: %.2f s (jobs=%d; every table bit-identical at any job count)\n" !total
     jobs;
@@ -73,125 +74,6 @@ let tables ?(fast = false) ?jobs () =
        tr.Stdx.Trace.dropped);
   close_out oc;
   print_endline "bench: wrote BENCH_tables.json"
-
-(* One Test.make per experiment: the kernel that generates that table.
-
-   [rng] is consumed only by this one-off setup below. Staged closures must
-   NOT share it: Bechamel calls each closure many times, and drawing from a
-   shared mutable generator would give every iteration a different input
-   (measuring a drifting workload instead of one kernel). Closures that
-   need randomness split a fresh generator per call, so every iteration
-   re-runs the identical instance. *)
-let micro_tests () =
-  let rng = Stdx.Prng.create 99 in
-  let fresh key = Stdx.Prng.split (Stdx.Prng.create 99) key in
-  let rs25 = Rsgraph.Rs_graph.bipartite 25 in
-  let rs10 = Rsgraph.Rs_graph.bipartite 10 in
-  let dmm25 = Core.Hard_dist.sample rs25 rng in
-  let dmm10 = Core.Hard_dist.sample rs10 rng in
-  let coins = Sketchmodel.Public_coins.create 4242 in
-  let g128 = Dgraph.Gen.gnp rng 128 0.25 in
-  let g256 = Dgraph.Gen.gnp rng 256 0.25 in
-  let g1024 = Dgraph.Gen.gnp rng 1024 0.05 in
-  let bridge_g, _ = Dgraph.Gen.bridge_of_clouds rng ~half:128 ~p:0.5 in
-  [
-    Test.make ~name:"T1:rs-construction(m=50)"
-      (Staged.stage (fun () -> ignore (Rsgraph.Rs_graph.bipartite 50)));
-    Test.make ~name:"T2:behrend-best(m=2000)"
-      (Staged.stage (fun () -> ignore (Rsgraph.Behrend.best 2000)));
-    Test.make ~name:"T3:dmm-sample+claim(m=25)"
-      (Staged.stage (fun () ->
-           let dmm = Core.Hard_dist.sample rs25 (fresh 303) in
-           ignore (Core.Claims.check dmm ())));
-    Test.make ~name:"F4:budget-protocol(m=25,b=64)"
-      (Staged.stage (fun () ->
-           ignore
-             (Sketchmodel.Model.run
-                (Protocols.Sampled_mm.protocol ~budget_bits:64
-                   ~strategy:Protocols.Sampled_mm.Uniform)
-                dmm25.Core.Hard_dist.graph coins)));
-    Test.make ~name:"F5:info-accounting(micro,b=4)"
-      (Staged.stage (fun () ->
-           ignore
-             (Core.Accounting.analyze
-                {
-                  Core.Accounting.rs = Core.Accounting.micro_rs ();
-                  k = 2;
-                  bits = 4;
-                  strategy = Core.Accounting.Truncate;
-                  sigma_mode = Core.Accounting.Fix_sigma;
-                })));
-    Test.make ~name:"T6:agm-forest(n=128)"
-      (Staged.stage (fun () -> ignore (Agm.Spanning_forest.run g128 coins)));
-    Test.make ~name:"T6b:coloring(n=256)"
-      (Staged.stage (fun () -> ignore (Coloring.Palette.run g256 coins)));
-    Test.make ~name:"T6:two-round-mm(n=1024)"
-      (Staged.stage (fun () -> ignore (Protocols.Two_round_mm.run g1024 coins)));
-    Test.make ~name:"T6:two-round-mis(n=1024)"
-      (Staged.stage (fun () -> ignore (Protocols.Two_round_mis.run g1024 coins)));
-    Test.make ~name:"T8:reduction-end-to-end(m=10)"
-      (Staged.stage (fun () ->
-           ignore (Core.Reduction.end_to_end_cost dmm10 Protocols.Trivial.mis coins)));
-    Test.make ~name:"F9:bridge(half=128)"
-      (Staged.stage (fun () -> ignore (Agm.Bridge_demo.run bridge_g ~samples_per_vertex:3 coins)));
-    Test.make ~name:"F10:blossom-maximum(n=128)"
-      (Staged.stage (fun () -> ignore (Dgraph.Blossom.maximum_matching g128)));
-    Test.make ~name:"T10:stream-feed+decode(n=64)"
-      (Staged.stage (fun () ->
-           let rng = fresh 1010 in
-           let g = Dgraph.Gen.gnp rng 64 0.1 in
-           let stream = Streams.Stream.with_decoys rng g ~decoys:50 in
-           let proc = Streams.Sketch_stream.create ~n:64 coins in
-           Streams.Sketch_stream.feed_all proc stream;
-           ignore (Streams.Sketch_stream.spanning_forest proc)));
-    Test.make ~name:"T11:k-forests(n=48,k=3)"
-      (Staged.stage (fun () ->
-           let g = Dgraph.Gen.gnp (fresh 1111) 48 0.2 in
-           ignore (Agm.Connectivity.k_forests g ~k:3 coins)));
-    Test.make ~name:"T11:mincut-stoer-wagner(n=64)"
-      (Staged.stage (fun () ->
-           let g = Dgraph.Gen.gnp (fresh 1112) 64 0.3 in
-           ignore (Dgraph.Mincut.min_cut g)));
-    Test.make ~name:"T12:one-round-local-minima(n=1024)"
-      (Staged.stage (fun () ->
-           ignore (Protocols.One_round_mis.undominated_fraction g1024 coins)));
-    Test.make ~name:"T13:yao-derandomize(m=5)"
-      (Staged.stage (fun () ->
-           let rs5 = Rsgraph.Rs_graph.bipartite 5 in
-           let instances = Array.init 4 (fun i -> Core.Hard_dist.sample rs5 (Stdx.Prng.create i)) in
-           ignore
-             (Core.Yao.derandomize ~seeds:[ 1; 2 ] ~instances ~run:(fun c dmm ->
-                  let p =
-                    Protocols.Sampled_mm.protocol ~budget_bits:24
-                      ~strategy:Protocols.Sampled_mm.Uniform
-                  in
-                  let out, _ = Sketchmodel.Model.run p dmm.Core.Hard_dist.graph c in
-                  Dgraph.Matching.is_maximal dmm.Core.Hard_dist.graph out))));
-    Test.make ~name:"T14:bcc-logn-mm(n=128)"
-      (Staged.stage (fun () -> ignore (Protocols.Bcc_mm.run g128 coins)));
-    Test.make ~name:"T15:hyper-iterated-mm(n=400,m=300,k=3)"
-      (Staged.stage (fun () ->
-           let h = Dgraph.Hgen.uniform_random (fresh 1515) ~n:400 ~m:300 ~k:3 in
-           ignore (Protocols.Hyper_mm.run_iterated h coins)));
-    Test.make ~name:"T2b:packed-rs(N=50,r=5)"
-      (Staged.stage (fun () ->
-           ignore (Rsgraph.Packed.achieved_t (Stdx.Prng.create 3) ~big_n:50 ~r:5 ~tries:500)));
-    (* The freeze pipeline's sort kernel, head-to-head: the LSD radix sort
-       Cset uses for packed edge keys against the stdlib comparison sort it
-       replaced, on the same 200k-key workload (~ a 450-vertex gnp(0.5)
-       freeze). The BENCH_tables.json `phases."graph.sort"` column shows
-       the same win in situ. *)
-    Test.make ~name:"cset:radix-sort(200k keys)"
-      (Staged.stage
-         (let keys = Array.init 200_000 (fun i -> (i * 2654435761) land 0x3FFFFFFF) in
-          fun () -> Cset.Columnar.radix_sort_nonneg (Array.copy keys)));
-    Test.make ~name:"cset:stdlib-sort(200k keys)"
-      (Staged.stage
-         (let keys = Array.init 200_000 (fun i -> (i * 2654435761) land 0x3FFFFFFF) in
-          fun () ->
-            let a = Array.copy keys in
-            Array.sort compare a));
-  ]
 
 (* `serve`: end-to-end latency of the sketchd stack over loopback TCP —
    an in-process daemon, one persistent client connection, and four
@@ -229,8 +111,8 @@ let serve_bench ?(fast = false) ?(connections = 0) () =
         Printf.printf "%-18s n=%-4d p50=%8.3f ms  p90=%8.3f ms  p99=%8.3f ms  %8.0f req/s\n%!"
           name (Array.length samples) (q 0.5) (q 0.9) (q 0.99) rps;
         Printf.fprintf oc
-          "{\"mix\":%S,\"n\":%d,\"p50_ms\":%s,\"p90_ms\":%s,\"p99_ms\":%s,\"throughput_rps\":%s}\n"
-          name (Array.length samples) (T.float_repr (q 0.5)) (T.float_repr (q 0.9))
+          "{\"mix\":%s,\"n\":%d,\"p50_ms\":%s,\"p90_ms\":%s,\"p99_ms\":%s,\"throughput_rps\":%s}\n"
+          (jstr name) (Array.length samples) (T.float_repr (q 0.5)) (T.float_repr (q 0.9))
           (T.float_repr (q 0.99)) (T.float_repr rps)
       in
       let jobj fields = T.string_of_json (T.Jobj fields) in
@@ -350,8 +232,8 @@ let cluster_bench ?(fast = false) () =
         Printf.printf "%-18s n=%-4d p50=%8.3f ms  p95=%8.3f ms  p99=%8.3f ms  %8.0f req/s\n%!"
           name (Array.length samples) (q 0.5) (q 0.95) (q 0.99) rps;
         Printf.fprintf oc
-          "{\"mix\":%S,\"n\":%d,\"p50_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\"throughput_rps\":%s}\n"
-          name (Array.length samples) (T.float_repr (q 0.5)) (T.float_repr (q 0.95))
+          "{\"mix\":%s,\"n\":%d,\"p50_ms\":%s,\"p95_ms\":%s,\"p99_ms\":%s,\"throughput_rps\":%s}\n"
+          (jstr name) (Array.length samples) (T.float_repr (q 0.5)) (T.float_repr (q 0.95))
           (T.float_repr (q 0.99)) (T.float_repr rps)
       in
       let jobj fields = T.string_of_json (T.Jobj fields) in
@@ -430,8 +312,8 @@ let streams_bench ?(fast = false) () =
         s.Sketchmodel.Rounds.total_bits s.Sketchmodel.Rounds.broadcast_bits
         (if Dgraph.Mis.is_maximal g mis then "maximal" else "NOT MAXIMAL");
       Printf.fprintf oc
-        "{\"bench\":\"rounds\",\"protocol\":%S,\"m\":%d,\"n\":%d,\"rounds\":%d,\"max_bits\":%d,\"total_bits\":%d,\"broadcast_bits\":%d,\"round_max\":%s,\"round_total\":%s,\"round_broadcast\":%s,\"wall_s\":%s}\n"
-        name m (Dgraph.Graph.n g) s.Sketchmodel.Rounds.rounds s.Sketchmodel.Rounds.max_bits
+        "{\"bench\":\"rounds\",\"protocol\":%s,\"m\":%d,\"n\":%d,\"rounds\":%d,\"max_bits\":%d,\"total_bits\":%d,\"broadcast_bits\":%d,\"round_max\":%s,\"round_total\":%s,\"round_broadcast\":%s,\"wall_s\":%s}\n"
+        (jstr name) m (Dgraph.Graph.n g) s.Sketchmodel.Rounds.rounds s.Sketchmodel.Rounds.max_bits
         s.Sketchmodel.Rounds.total_bits s.Sketchmodel.Rounds.broadcast_bits
         (jarr_a s.Sketchmodel.Rounds.round_max)
         (jarr_a s.Sketchmodel.Rounds.round_total)
@@ -467,33 +349,8 @@ let streams_bench ?(fast = false) () =
   close_out oc;
   print_endline "bench: wrote BENCH_streams.json"
 
-let run_benchmarks () =
-  print_endline "\n=== Bechamel micro-benchmarks (one kernel per table/figure) ===";
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
-  let grouped = Test.make_grouped ~name:"sketchlb" ~fmt:"%s %s" (micro_tests ()) in
-  let raw = Benchmark.all cfg [ instance ] grouped in
-  let results = Analyze.all ols instance raw in
-  let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
-  let rows = List.sort (fun (a, _) (b, _) -> compare a b) rows in
-  Printf.printf "%-50s %15s\n" "kernel" "time/run";
-  List.iter
-    (fun (name, ols_result) ->
-      let estimate =
-        match Analyze.OLS.estimates ols_result with Some (e :: _) -> e | Some [] | None -> nan
-      in
-      let pretty =
-        if estimate >= 1e9 then Printf.sprintf "%.2f s" (estimate /. 1e9)
-        else if estimate >= 1e6 then Printf.sprintf "%.2f ms" (estimate /. 1e6)
-        else if estimate >= 1e3 then Printf.sprintf "%.2f us" (estimate /. 1e3)
-        else Printf.sprintf "%.0f ns" estimate
-      in
-      Printf.printf "%-50s %15s\n" name pretty)
-    rows
-
 let () =
-  (* Usage: main.exe [tables|bench|serve|cluster|all] [-j N] [--fast] [--trace FILE].
+  (* Usage: main.exe [tables|serve|cluster|streams|all] [-j N] [--fast] [--trace FILE].
      [-j] shards the Monte-Carlo tables over N domains; the printed tables
      are identical at any N. [--trace] writes the whole run's span trace as
      a Perfetto-loadable Chrome trace_event file. *)
@@ -504,7 +361,7 @@ let () =
     | "--fast" :: rest -> parse mode jobs true trace conns rest
     | "--trace" :: v :: rest -> parse mode jobs fast (Some v) conns rest
     | "--connections" :: v :: rest -> parse mode jobs fast trace (int_of_string_opt v) rest
-    | ("tables" | "bench" | "serve" | "cluster" | "streams" | "all") as m :: rest ->
+    | ("tables" | "serve" | "cluster" | "streams" | "all") as m :: rest ->
         parse m jobs fast trace conns rest
     | _ :: rest -> parse mode jobs fast trace conns rest
   in
@@ -514,13 +371,11 @@ let () =
   Report.Trace_export.with_file trace (fun () ->
       match mode with
       | "tables" -> tables ~fast ?jobs ()
-      | "bench" -> run_benchmarks ()
       | "serve" -> serve_bench ~fast ~connections ()
       | "cluster" -> cluster_bench ~fast ()
       | "streams" -> streams_bench ~fast ()
       | _ ->
           tables ~fast ?jobs ();
-          run_benchmarks ();
           serve_bench ~fast ~connections ();
           cluster_bench ~fast ();
           streams_bench ~fast ());

@@ -81,14 +81,15 @@ let common =
     quiet; trace }
 
 (* start → port file → banner → signals → wait. [start] receives the log
-   sink and returns the listening server; [details] completes the banner;
-   [stop] is the abort-connections stop the signals trigger.
+   sink ([None] under -q, so no line is formatted) and returns the
+   listening server; [details] completes the banner; [stop] is the
+   abort-connections stop the signals trigger.
    --trace records the whole life (accept → decode → route → compute →
    encode spans) and writes the file once the drain completes. *)
 let serve ~name c ~details ~start ~port ~stop ~wait =
   Report.Trace_export.with_file c.trace @@ fun () ->
   let log =
-    if c.quiet then fun _ -> () else fun line -> Printf.eprintf "%s: %s\n%!" name line
+    if c.quiet then None else Some (fun line -> Printf.eprintf "%s: %s\n%!" name line)
   in
   let server =
     try start ~log with

@@ -41,7 +41,7 @@ let () =
        ~start:(fun ~log ->
          Server.Daemon.start ~host:c.host ~port:c.port ~workers ~capacity ~cache_entries
            ~cache_bytes:(cache_mb * 1024 * 1024) ~max_conns:c.max_conns
-           ~idle_timeout_s:c.idle_timeout ~rate_limit:c.rate_limit ~keepalive:c.keepalive ~log
+           ~idle_timeout_s:c.idle_timeout ~rate_limit:c.rate_limit ~keepalive:c.keepalive ?log
            ())
        ~port:Server.Daemon.port
        ~stop:(Server.Daemon.stop ~abort_connections:true)

@@ -124,7 +124,7 @@ let list_cmd =
   let run () =
     List.iter
       (fun e -> Printf.printf "%-18s %-4s %s\n" (R.id e) (R.title e) (R.doc e))
-      (Core.Exp_all.all ())
+      Core.Exp_all.experiments
   in
   Cmd.v (Cmd.info "list" ~doc:"List every registered experiment id.") Term.(const run $ const ())
 
@@ -158,7 +158,7 @@ let () =
   let info = Cmd.info "sketchlb" ~version:Stdx.Version.current ~doc in
   let group =
     Cmd.group info
-      (List.map exp_cmd (Core.Exp_all.all ()) @ [ run_cmd; list_cmd; all_cmd ])
+      (List.map exp_cmd Core.Exp_all.experiments @ [ run_cmd; list_cmd; all_cmd ])
   in
   (* ~catch:false so [Interrupted] reaches us instead of cmdliner's
      catch-all backtrace printer; by now every [with_out] protector has

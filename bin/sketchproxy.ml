@@ -45,7 +45,7 @@ let () =
        ~start:(fun ~log ->
          Server.Proxy.start ~host:c.host ~port:c.port ~vnodes
            ~health_interval_s:health_interval ~max_conns:c.max_conns
-           ~idle_timeout_s:c.idle_timeout ~rate_limit:c.rate_limit ~keepalive:c.keepalive ~log
+           ~idle_timeout_s:c.idle_timeout ~rate_limit:c.rate_limit ~keepalive:c.keepalive ?log
            ~backends ())
        ~port:Server.Proxy.port
        ~stop:(Server.Proxy.stop ~abort_connections:true)

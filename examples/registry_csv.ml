@@ -1,6 +1,6 @@
-(* Registry lookup: run one experiment programmatically and render CSV.
+(* Catalogue lookup: run one experiment programmatically and render CSV.
 
-   The experiment catalogue (lib/core/exp_all.ml) registers every DESIGN.md
+   The experiment catalogue (lib/core/exp_all.ml) lists every DESIGN.md
    §4 table under a stable id. Here we look one up by id, override its
    parameters down to tiny sizes, and stream the resulting table through
    the CSV renderer — the same path `sketchlb run behrend --format csv`
@@ -8,8 +8,8 @@
 
    Run with: dune exec examples/registry_csv.exe
    Pass `--trace out.json` for a Chrome trace_event export: the table
-   computation is an [example.run-table] span with the registry's own
-   [registry.*]/[trial.*] spans nested inside. *)
+   computation is an [example.run-table] span with the experiment's own
+   [exp.behrend] and [parallel.chunk] spans nested inside. *)
 
 module R = Core.Exp_registry
 module T = Report.Tabular
@@ -29,7 +29,7 @@ let () =
   in
   Printf.printf "# %s — %s (%s)\n" (R.id e) (R.doc e) (R.title e);
 
-  (* [R.smoke] is the registry's own tiny-parameter set (the one the test
+  (* [R.smoke] is the experiment's own tiny-parameter set (the one the test
      suite uses); any `params` entry can be overridden the same way. *)
   let table = stage "run-table" (fun () -> R.table e (R.smoke e)) in
   T.emit ~format:T.Csv ~out:stdout table;

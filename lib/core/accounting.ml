@@ -461,18 +461,3 @@ let all_inequalities_hold report =
   && report.lemma34_slack >= -.tol
   && ((not report.sigma_enumerated) || Array.for_all (fun s -> s >= -.tol) report.lemma35_slacks)
   && ((not report.sigma_enumerated) || report.theorem_slack >= -.tol)
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>b=%d outcomes=%d sigma_enumerated=%b kr=%.0f@,\
-     I(M;Pi|S,J)=%.4f  H(M|Pi,S,J)=%.4f  eq1_residual=%.2e@,\
-     E|M^U|=%.4f  lemma3.3 slack=%.4f@,\
-     H(Pi(P))=%.4f  sum I(M_i;Pi(U_i)|S,J)=%.4f  lemma3.4 slack=%.4f@,\
-     lemma3.5 slacks=[%s]@,\
-     budget bound=%.2f  theorem slack=%.2f@]"
-    r.spec_bits r.outcomes r.sigma_enumerated r.kr r.info r.h_m_given_pi r.eq1_residual
-    r.expected_recovered r.lemma33_slack r.h_public
-    (Array.fold_left ( +. ) 0. r.per_copy_info)
-    r.lemma34_slack
-    (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.4f") r.lemma35_slacks)))
-    r.budget_bound r.theorem_slack

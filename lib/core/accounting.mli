@@ -99,5 +99,3 @@ val micro_rs : unit -> Rsgraph.Rs_graph.t
 
 val all_inequalities_hold : report -> bool
 (** All checks applicable to the report's Σ mode pass. *)
-
-val pp_report : Format.formatter -> report -> unit

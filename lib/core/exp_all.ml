@@ -1,8 +1,6 @@
 (* The experiment catalogue: every DESIGN.md §4 table, in the canonical
-   `run_all` order. Registration happens at module-initialization time,
-   so any code that touches [Exp_all] (the CLI, the bench driver, the
-   tests) sees a fully-populated registry — and because the list below is
-   an explicit value, the linker can never drop an experiment module. *)
+   `run_all` order. Because the list below is an explicit value, the
+   linker can never drop an experiment module. *)
 
 module T = Report.Tabular
 module R = Exp_registry
@@ -34,9 +32,7 @@ let experiments : R.experiment list =
     Exp_speedup.experiment;
   ]
 
-let () = List.iter R.register experiments
-let find = R.find
-let all () = R.all ()
+let find id = List.find_opt (fun e -> R.id e = id) experiments
 
 (* Run every experiment at its `all` (or `all --fast`) sizes, rendering
    through the chosen format. Text goes to [out] interleaved with wall-time
@@ -80,6 +76,6 @@ let run_all ?(fast = false) ?jobs ?(format = T.Text) ?(out = stdout) () =
       in
       total := !total +. wall;
       progress "    [%s: %.2f s wall]\n" (R.title e) wall)
-    (all ());
+    experiments;
   progress "\nTotal wall-clock: %.2f s (jobs=%d; every table bit-identical at any job count)\n"
     !total jobs

@@ -1,19 +1,12 @@
-(** The experiment catalogue: every DESIGN.md §4 table, registered at
-    module-initialisation time in the canonical [run_all] order — any
-    code that touches this module (the CLI, the bench driver, the tests)
-    sees a fully-populated {!Exp_registry}, and because the list is an
-    explicit value the linker can never drop an experiment module. *)
+(** The experiment catalogue: every DESIGN.md §4 table in the canonical
+    [run_all] order. Because the list is an explicit value, the linker
+    can never drop an experiment module. *)
 
 val experiments : Exp_registry.experiment list
-(** The canonical ordered catalogue (registered as a side effect of
-    module initialisation). *)
+(** The canonical ordered catalogue; ids are unique. *)
 
 val find : string -> Exp_registry.experiment option
-(** Look an experiment up by id; {!Exp_registry.find} with the
-    catalogue guaranteed populated. *)
-
-val all : unit -> Exp_registry.experiment list
-(** Every registered experiment in registration order. *)
+(** Look an experiment up by id in {!experiments}. *)
 
 val run_all :
   ?fast:bool ->

@@ -51,36 +51,20 @@ let to_row r = T.[ Int r.an; Int r.abudget; Float r.ratio_mean; Float r.ratio_mi
 let preamble =
   [ ""; "F10. Approximate matching vs per-player budget (Blossom oracle; avg degree 4)" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "approx-matching"
-    let title = "F10"
-    let doc = "F10: approximation ratio of budget protocols (Blossom oracle)."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "n" ~doc:"Graph sizes n." [ 40; 80; 160 ];
-          R.ints_param "budgets" ~doc:"Budgets in bits." [ 8; 24; 64; 256 ];
-          R.int_param "trials" ~doc:"Trials per configuration." 8;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"approx-matching" ~title:"F10"
+    ~doc:"F10: approximation ratio of budget protocols (Blossom oracle)."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "n" ~doc:"Graph sizes n." [ 40; 80; 160 ];
+           R.ints_param "budgets" ~doc:"Budgets in bits." [ 8; 24; 64; 256 ];
+           R.int_param "trials" ~doc:"Trials per configuration." 8;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("n", R.Vints [ 40 ]); ("trials", R.Vint 3); ("seed", R.Vint 31) ]
+    ~full:[ ("n", R.Vints [ 40; 80; 160 ]); ("trials", R.Vint 8); ("seed", R.Vint 31) ]
+    ~smoke:[ ("n", R.Vints [ 16 ]); ("budgets", R.Vints [ 16 ]); ("trials", R.Vint 2) ]
+    (fun ps ->
       compute ~ns:(R.ints_value ps "n") ~budgets:(R.ints_value ps "budgets")
-        ~trials:(R.int_value ps "trials") ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-
-    let fast_overrides = [ ("n", R.Vints [ 40 ]); ("trials", R.Vint 3); ("seed", R.Vint 31) ]
-
-    let full_overrides =
-      [ ("n", R.Vints [ 40; 80; 160 ]); ("trials", R.Vint 8); ("seed", R.Vint 31) ]
-
-    let smoke = [ ("n", R.Vints [ 16 ]); ("budgets", R.Vints [ 16 ]); ("trials", R.Vint 2) ]
-  end)
+        ~trials:(R.int_value ps "trials") ~seed:(R.seed ps))

@@ -76,30 +76,17 @@ let preamble =
     "     solve MM; one round at the same per-round bandwidth does not.";
   ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "bcc"
-    let title = "T14"
-    let doc = "T14: BCC rounds/bandwidth trade-off on D_MM."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "m" ~doc:"RS parameters m." [ 10; 25 ];
-          R.int_param "trials" ~doc:"One-round trials." 10;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
-      compute ~ms:(R.ints_value ps "m") ~trials:(R.int_value ps "trials") ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 10 ]); ("trials", R.Vint 3); ("seed", R.Vint 67) ]
-    let full_overrides = [ ("m", R.Vints [ 10; 25 ]); ("trials", R.Vint 10); ("seed", R.Vint 67) ]
-    let smoke = [ ("m", R.Vints [ 4 ]); ("trials", R.Vint 2) ]
-  end)
+let experiment =
+  R.make ~id:"bcc" ~title:"T14" ~doc:"T14: BCC rounds/bandwidth trade-off on D_MM."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "m" ~doc:"RS parameters m." [ 10; 25 ];
+           R.int_param "trials" ~doc:"One-round trials." 10;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 10 ]); ("trials", R.Vint 3); ("seed", R.Vint 67) ]
+    ~full:[ ("m", R.Vints [ 10; 25 ]); ("trials", R.Vint 10); ("seed", R.Vint 67) ]
+    ~smoke:[ ("m", R.Vints [ 4 ]); ("trials", R.Vint 2) ]
+    (fun ps ->
+      compute ~ms:(R.ints_value ps "m") ~trials:(R.int_value ps "trials") ~seed:(R.seed ps))

@@ -50,25 +50,14 @@ let to_row r =
 
 let preamble = [ ""; "T2. Behrend's theorem — 3-AP-free subsets of [1, m]" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "behrend"
-    let title = "T2"
-    let doc = "T2: 3-AP-free set sizes (greedy vs Behrend vs exact)."
-
-    let params =
-      R.std_params
-        ~seed_doc:"Random seed (unused: the constructions are deterministic)."
-        [ R.ints_param "m" ~doc:"Set range bounds m." [ 10; 30; 100; 300; 1000; 3000; 10000 ] ]
-
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ?jobs:(R.jobs ps) ~ms:(R.ints_value ps "m") ()
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 10; 30; 100 ]) ]
-    let full_overrides = [ ("m", R.Vints [ 10; 30; 100; 300; 1000; 3000; 10000 ]) ]
-    let smoke = [ ("m", R.Vints [ 10; 25 ]) ]
-  end)
+let experiment =
+  R.make ~id:"behrend" ~title:"T2" ~doc:"T2: 3-AP-free set sizes (greedy vs Behrend vs exact)."
+    ~params:
+      (R.std_params
+         ~seed_doc:"Random seed (unused: the constructions are deterministic)."
+         [ R.ints_param "m" ~doc:"Set range bounds m." [ 10; 30; 100; 300; 1000; 3000; 10000 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 10; 30; 100 ]) ]
+    ~full:[ ("m", R.Vints [ 10; 30; 100; 300; 1000; 3000; 10000 ]) ]
+    ~smoke:[ ("m", R.Vints [ 10; 25 ]) ]
+    (fun ps -> compute ?jobs:(R.jobs ps) ~ms:(R.ints_value ps "m") ())

@@ -55,25 +55,15 @@ let to_row r =
 
 let preamble = [ ""; "F7. Theorem 1 arithmetic vs upper bounds along the construction curve" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "bound-curve"
-    let title = "F7"
-    let doc = "F7: Theorem 1 arithmetic vs upper bounds along the curve."
-
-    let params =
-      R.std_params
-        ~seed_doc:"Random seed (unused: the curve is closed-form)."
-        [ R.ints_param "m" ~doc:"RS parameters m." [ 10; 25; 50; 100; 200; 400 ] ]
-
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ~ms:(R.ints_value ps "m")
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 10; 50 ]) ]
-    let full_overrides = [ ("m", R.Vints [ 10; 25; 50; 100; 200; 400 ]) ]
-    let smoke = [ ("m", R.Vints [ 5; 20 ]) ]
-  end)
+let experiment =
+  R.make ~id:"bound-curve" ~title:"F7"
+    ~doc:"F7: Theorem 1 arithmetic vs upper bounds along the curve."
+    ~params:
+      (R.std_params
+         ~seed_doc:"Random seed (unused: the curve is closed-form)."
+         [ R.ints_param "m" ~doc:"RS parameters m." [ 10; 25; 50; 100; 200; 400 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 10; 50 ]) ]
+    ~full:[ ("m", R.Vints [ 10; 25; 50; 100; 200; 400 ]) ]
+    ~smoke:[ ("m", R.Vints [ 5; 20 ]) ]
+    (fun ps -> compute ~ms:(R.ints_value ps "m"))

@@ -42,37 +42,19 @@ let schema =
 let to_row r = T.[ Int r.half; Int r.samples_per_vertex; Int r.max_bits; Float r.success ]
 let preamble = [ ""; "F9. Footnote 1 — recovering the bridge between two random clouds" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "bridge"
-    let title = "F9"
-    let doc = "F9: Footnote 1 — find the bridge between two random clouds."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "halves" ~doc:"Cloud sizes (n/2)." [ 32; 128; 512 ];
-          R.ints_param "samples" ~doc:"Sampled edges per vertex." [ 1; 2; 4 ];
-          R.int_param "trials" ~doc:"Trials per configuration." 20;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"bridge" ~title:"F9" ~doc:"F9: Footnote 1 — find the bridge between two random clouds."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "halves" ~doc:"Cloud sizes (n/2)." [ 32; 128; 512 ];
+           R.ints_param "samples" ~doc:"Sampled edges per vertex." [ 1; 2; 4 ];
+           R.int_param "trials" ~doc:"Trials per configuration." 20;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("halves", R.Vints [ 32 ]); ("trials", R.Vint 5); ("seed", R.Vint 29) ]
+    ~full:[ ("halves", R.Vints [ 32; 128; 512 ]); ("trials", R.Vint 20); ("seed", R.Vint 29) ]
+    ~smoke:[ ("halves", R.Vints [ 12 ]); ("samples", R.Vints [ 2 ]); ("trials", R.Vint 2) ]
+    (fun ps ->
       compute ~halves:(R.ints_value ps "halves") ~samples:(R.ints_value ps "samples")
-        ~trials:(R.int_value ps "trials") ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-
-    let fast_overrides =
-      [ ("halves", R.Vints [ 32 ]); ("trials", R.Vint 5); ("seed", R.Vint 29) ]
-
-    let full_overrides =
-      [ ("halves", R.Vints [ 32; 128; 512 ]); ("trials", R.Vint 20); ("seed", R.Vint 29) ]
-
-    let smoke = [ ("halves", R.Vints [ 12 ]); ("samples", R.Vints [ 2 ]); ("trials", R.Vint 2) ]
-  end)
+        ~trials:(R.int_value ps "trials") ~seed:(R.seed ps))

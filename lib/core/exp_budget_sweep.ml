@@ -204,46 +204,30 @@ let preamble_of ctx =
 
 let rows_of_sweep ctx = List.map (fun line -> { ctx; line }) ctx.rows
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "budget-sweep"
-    let title = "F4"
-    let doc = "F4: success of budget-b protocols on D_MM vs b."
-
-    let params =
-      R.std_params
-        [
-          R.int_param "m" ~doc:"RS parameter m." 25;
-          R.int_param "k" ~doc:"Copies k (0 = t, the paper's choice)." 0;
-          R.ints_param "budgets" ~doc:"Per-player budgets in bits."
-            [ 8; 16; 32; 64; 128; 256; 512; 1024 ];
-          R.int_param "trials" ~doc:"Trials per configuration." 10;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
-      let k = match R.int_value ps "k" with k when k <= 0 -> None | k -> Some k in
-      rows_of_sweep
-        (compute ?jobs:(R.jobs ps) ~m:(R.int_value ps "m") ?k
-           ~budgets:(R.ints_value ps "budgets") ~trials:(R.int_value ps "trials")
-           ~seed:(R.seed ps) ())
-
-    let preamble _ rows = match rows with [] -> [] | { ctx; _ } :: _ -> preamble_of ctx
-    let footer _ = []
-
-    let fast_overrides =
-      [ ("budgets", R.Vints [ 8; 64; 512 ]); ("trials", R.Vint 3); ("seed", R.Vint 11) ]
-
-    let full_overrides =
+let experiment =
+  R.make ~id:"budget-sweep" ~title:"F4" ~doc:"F4: success of budget-b protocols on D_MM vs b."
+    ~params:
+      (R.std_params
+         [
+           R.int_param "m" ~doc:"RS parameter m." 25;
+           R.int_param "k" ~doc:"Copies k (0 = t, the paper's choice)." 0;
+           R.ints_param "budgets" ~doc:"Per-player budgets in bits."
+             [ 8; 16; 32; 64; 128; 256; 512; 1024 ];
+           R.int_param "trials" ~doc:"Trials per configuration." 10;
+         ])
+    ~schema ~to_row
+    ~preamble:(fun _ rows -> match rows with [] -> [] | { ctx; _ } :: _ -> preamble_of ctx)
+    ~fast:[ ("budgets", R.Vints [ 8; 64; 512 ]); ("trials", R.Vint 3); ("seed", R.Vint 11) ]
+    ~full:
       [
         ("budgets", R.Vints [ 8; 16; 32; 64; 128; 256; 512; 1024 ]);
         ("trials", R.Vint 10);
         ("seed", R.Vint 11);
       ]
-
-    let smoke = [ ("m", R.Vint 4); ("budgets", R.Vints [ 8 ]); ("trials", R.Vint 2) ]
-  end)
+    ~smoke:[ ("m", R.Vint 4); ("budgets", R.Vints [ 8 ]); ("trials", R.Vint 2) ]
+    (fun ps ->
+      let k = match R.int_value ps "k" with k when k <= 0 -> None | k -> Some k in
+      rows_of_sweep
+        (compute ?jobs:(R.jobs ps) ~m:(R.int_value ps "m") ?k
+           ~budgets:(R.ints_value ps "budgets") ~trials:(R.int_value ps "trials")
+           ~seed:(R.seed ps) ()))

@@ -110,34 +110,19 @@ let to_row r =
 
 let preamble = [ ""; "T3. Claim 3.1 — unique-unique edges in maximal matchings of G ~ D_MM" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "claim31"
-    let title = "T3"
-    let doc = "T3: Claim 3.1 — unique-unique edges in maximal matchings of D_MM."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "m" ~doc:"RS parameters m." [ 10; 25; 50 ];
-          R.int_param "samples" ~doc:"Samples per m." 20;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"claim31" ~title:"T3"
+    ~doc:"T3: Claim 3.1 — unique-unique edges in maximal matchings of D_MM."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "m" ~doc:"RS parameters m." [ 10; 25; 50 ];
+           R.int_param "samples" ~doc:"Samples per m." 20;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 10; 25 ]); ("samples", R.Vint 5); ("seed", R.Vint 7) ]
+    ~full:[ ("m", R.Vints [ 10; 25; 50 ]); ("samples", R.Vint 20); ("seed", R.Vint 7) ]
+    ~smoke:[ ("m", R.Vints [ 5 ]); ("samples", R.Vint 3); ("seed", R.Vint 1) ]
+    (fun ps ->
       compute ?jobs:(R.jobs ps) ~ms:(R.ints_value ps "m") ~samples:(R.int_value ps "samples")
-        ~seed:(R.seed ps) ()
-
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 10; 25 ]); ("samples", R.Vint 5); ("seed", R.Vint 7) ]
-
-    let full_overrides =
-      [ ("m", R.Vints [ 10; 25; 50 ]); ("samples", R.Vint 20); ("seed", R.Vint 7) ]
-
-    let smoke = [ ("m", R.Vints [ 5 ]); ("samples", R.Vint 3); ("seed", R.Vint 1) ]
-  end)
+        ~seed:(R.seed ps) ())

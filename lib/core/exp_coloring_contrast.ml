@@ -69,23 +69,12 @@ let to_row r =
 let preamble =
   [ ""; "T6b. (Delta+1)-coloring vs trivial on dense G(n, 1/2) — the ratio decays with n" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "coloring-contrast"
-    let title = "T6b"
-    let doc = "T6b: palette sparsification vs trivial on dense graphs."
-
-    let params =
-      R.std_params [ R.ints_param "n" ~doc:"Graph sizes n." [ 256; 512; 1024; 2048 ] ]
-
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ~ns:(R.ints_value ps "n") ~seed:(R.seed ps)
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("n", R.Vints [ 128; 256 ]); ("seed", R.Vint 19) ]
-    let full_overrides = [ ("n", R.Vints [ 256; 512; 1024; 2048 ]); ("seed", R.Vint 19) ]
-    let smoke = [ ("n", R.Vints [ 32 ]); ("seed", R.Vint 19) ]
-  end)
+let experiment =
+  R.make ~id:"coloring-contrast" ~title:"T6b"
+    ~doc:"T6b: palette sparsification vs trivial on dense graphs."
+    ~params:(R.std_params [ R.ints_param "n" ~doc:"Graph sizes n." [ 256; 512; 1024; 2048 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("n", R.Vints [ 128; 256 ]); ("seed", R.Vint 19) ]
+    ~full:[ ("n", R.Vints [ 256; 512; 1024; 2048 ]); ("seed", R.Vint 19) ]
+    ~smoke:[ ("n", R.Vints [ 32 ]); ("seed", R.Vint 19) ]
+    (fun ps -> compute ~ns:(R.ints_value ps "n") ~seed:(R.seed ps))

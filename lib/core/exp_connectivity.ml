@@ -75,21 +75,12 @@ let to_row r =
 let preamble =
   [ ""; "T11. Edge connectivity (k-forest certificate) and bipartiteness from sketches" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "connectivity"
-    let title = "T11"
-    let doc = "T11: k-forest edge-connectivity and bipartiteness sketches."
-
-    let params = R.std_params []
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ~seed:(R.seed ps)
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("seed", R.Vint 43) ]
-    let full_overrides = [ ("seed", R.Vint 43) ]
-    let smoke = [ ("seed", R.Vint 43) ]
-  end)
+let experiment =
+  R.make ~id:"connectivity" ~title:"T11"
+    ~doc:"T11: k-forest edge-connectivity and bipartiteness sketches."
+    ~params:(R.std_params [])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("seed", R.Vint 43) ]
+    ~full:[ ("seed", R.Vint 43) ]
+    ~smoke:[ ("seed", R.Vint 43) ]
+    (fun ps -> compute ~seed:(R.seed ps))

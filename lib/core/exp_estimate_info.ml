@@ -90,36 +90,18 @@ let to_row r =
 let preamble =
   [ ""; "F5b. Plug-in MI estimates from samples vs exact enumeration (micro instance)" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "estimate-info"
-    let title = "F5b"
-    let doc = "F5b: sampled MI estimates vs exact enumeration."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "bits" ~doc:"Budgets in bits." [ 6; 10; 14 ];
-          R.int_param "samples" ~doc:"Samples." 6000;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"estimate-info" ~title:"F5b" ~doc:"F5b: sampled MI estimates vs exact enumeration."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "bits" ~doc:"Budgets in bits." [ 6; 10; 14 ];
+           R.int_param "samples" ~doc:"Samples." 6000;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("bits", R.Vints [ 10 ]); ("samples", R.Vint 1500); ("seed", R.Vint 59) ]
+    ~full:[ ("bits", R.Vints [ 6; 10; 14 ]); ("samples", R.Vint 6000); ("seed", R.Vint 59) ]
+    ~smoke:[ ("bits", R.Vints [ 3 ]); ("samples", R.Vint 40) ]
+    (fun ps ->
       compute ?jobs:(R.jobs ps) ~bits:(R.ints_value ps "bits")
-        ~samples:(R.int_value ps "samples") ~seed:(R.seed ps) ()
-
-    let preamble _ _ = preamble
-    let footer _ = []
-
-    let fast_overrides =
-      [ ("bits", R.Vints [ 10 ]); ("samples", R.Vint 1500); ("seed", R.Vint 59) ]
-
-    let full_overrides =
-      [ ("bits", R.Vints [ 6; 10; 14 ]); ("samples", R.Vint 6000); ("seed", R.Vint 59) ]
-
-    let smoke = [ ("bits", R.Vints [ 3 ]); ("samples", R.Vint 40) ]
-  end)
+        ~samples:(R.int_value ps "samples") ~seed:(R.seed ps) ())

@@ -97,32 +97,20 @@ let to_row r =
 let preamble =
   [ ""; "T15. Hypergraph MM/MIS: trivial one-round vs iterated proposals vs Luby rounds" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "hypergraph-mm"
-    let title = "T15"
-    let doc = "T15: hypergraph MM/MIS protocols over the k-uniform workload."
-
-    let params =
-      R.std_params
-        [
-          R.int_param "n" ~doc:"Vertices." 60;
-          R.int_param "m" ~doc:"Sampled hyperedges (before dedup)." 40;
-          R.ints_param "k" ~doc:"Hyperedge arities." [ 2; 3; 4 ];
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"hypergraph-mm" ~title:"T15"
+    ~doc:"T15: hypergraph MM/MIS protocols over the k-uniform workload."
+    ~params:
+      (R.std_params
+         [
+           R.int_param "n" ~doc:"Vertices." 60;
+           R.int_param "m" ~doc:"Sampled hyperedges (before dedup)." 40;
+           R.ints_param "k" ~doc:"Hyperedge arities." [ 2; 3; 4 ];
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("k", R.Vints [ 3 ]); ("seed", R.Vint 71) ]
+    ~full:[ ("k", R.Vints [ 2; 3; 4 ]); ("seed", R.Vint 71) ]
+    ~smoke:[ ("n", R.Vint 12); ("m", R.Vint 8); ("k", R.Vints [ 3 ]); ("seed", R.Vint 71) ]
+    (fun ps ->
       compute ~n:(R.int_value ps "n") ~m:(R.int_value ps "m") ~ks:(R.ints_value ps "k")
-        ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("k", R.Vints [ 3 ]); ("seed", R.Vint 71) ]
-    let full_overrides = [ ("k", R.Vints [ 2; 3; 4 ]); ("seed", R.Vint 71) ]
-    let smoke = [ ("n", R.Vint 12); ("m", R.Vint 8); ("k", R.Vints [ 3 ]); ("seed", R.Vint 71) ]
-  end)
+        ~seed:(R.seed ps))

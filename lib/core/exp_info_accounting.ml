@@ -60,25 +60,15 @@ let to_row (r : Accounting.report) =
 
 let preamble = [ ""; "F5. Lemmas 3.3-3.5 — exact information accounting on micro D_MM instances" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "info-accounting"
-    let title = "F5"
-    let doc = "F5: exact Lemma 3.3-3.5 information accounting on micro instances."
-
-    let params =
-      R.std_params
-        ~seed_doc:"Random seed (unused: the accounting enumerates exactly)."
-        [ R.ints_param "bits" ~doc:"Per-player budgets in bits." [ 0; 2; 4; 6; 10 ] ]
-
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ~bits:(R.ints_value ps "bits")
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("bits", R.Vints [ 2; 6 ]) ]
-    let full_overrides = [ ("bits", R.Vints [ 0; 2; 4; 6; 10 ]) ]
-    let smoke = [ ("bits", R.Vints [ 2 ]) ]
-  end)
+let experiment =
+  R.make ~id:"info-accounting" ~title:"F5"
+    ~doc:"F5: exact Lemma 3.3-3.5 information accounting on micro instances."
+    ~params:
+      (R.std_params
+         ~seed_doc:"Random seed (unused: the accounting enumerates exactly)."
+         [ R.ints_param "bits" ~doc:"Per-player budgets in bits." [ 0; 2; 4; 6; 10 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("bits", R.Vints [ 2; 6 ]) ]
+    ~full:[ ("bits", R.Vints [ 0; 2; 4; 6; 10 ]) ]
+    ~smoke:[ ("bits", R.Vints [ 2 ]) ]
+    (fun ps -> compute ~bits:(R.ints_value ps "bits"))

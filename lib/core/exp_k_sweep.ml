@@ -60,37 +60,21 @@ let preamble =
     "     k-independent: the lower bound is tightest at the paper's choice k = t.";
   ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "k-sweep"
-    let title = "F11"
-    let doc = "F11: ablation decoupling k from t."
-
-    let params =
-      R.std_params
-        [
-          R.int_param "m" ~doc:"RS parameter m." 25;
-          R.ints_param "k" ~doc:"Values of k." [ 3; 6; 12; 25 ];
-          R.ints_param "budgets" ~doc:"Budgets in bits." [ 4; 8; 16; 32; 64; 128 ];
-          R.int_param "trials" ~doc:"Trials per configuration." 8;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
-      compute ~m:(R.int_value ps "m") ~ks:(R.ints_value ps "k")
-        ~budgets:(R.ints_value ps "budgets") ~trials:(R.int_value ps "trials") ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("k", R.Vints [ 5; 25 ]); ("trials", R.Vint 3); ("seed", R.Vint 37) ]
-
-    let full_overrides =
-      [ ("k", R.Vints [ 3; 6; 12; 25 ]); ("trials", R.Vint 8); ("seed", R.Vint 37) ]
-
-    let smoke =
+let experiment =
+  R.make ~id:"k-sweep" ~title:"F11" ~doc:"F11: ablation decoupling k from t."
+    ~params:
+      (R.std_params
+         [
+           R.int_param "m" ~doc:"RS parameter m." 25;
+           R.ints_param "k" ~doc:"Values of k." [ 3; 6; 12; 25 ];
+           R.ints_param "budgets" ~doc:"Budgets in bits." [ 4; 8; 16; 32; 64; 128 ];
+           R.int_param "trials" ~doc:"Trials per configuration." 8;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("k", R.Vints [ 5; 25 ]); ("trials", R.Vint 3); ("seed", R.Vint 37) ]
+    ~full:[ ("k", R.Vints [ 3; 6; 12; 25 ]); ("trials", R.Vint 8); ("seed", R.Vint 37) ]
+    ~smoke:
       [ ("m", R.Vint 4); ("k", R.Vints [ 2 ]); ("budgets", R.Vints [ 8 ]); ("trials", R.Vint 2) ]
-  end)
+    (fun ps ->
+      compute ~m:(R.int_value ps "m") ~ks:(R.ints_value ps "k")
+        ~budgets:(R.ints_value ps "budgets") ~trials:(R.int_value ps "trials") ~seed:(R.seed ps))

@@ -41,34 +41,19 @@ let to_row r = T.[ Int r.pn; Int r.pr; Int r.packed_t; Int r.behrend_t; Int r.tr
 let preamble =
   [ ""; "T2b. RS families — greedy random packing vs the Behrend construction (equal N, r)" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "packing"
-    let title = "T2b"
-    let doc = "T2b: random induced-matching packing vs Behrend RS graphs."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "m" ~doc:"RS parameters m." [ 5; 10; 25; 50 ];
-          R.int_param "tries" ~doc:"Packing attempts." 3000;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"packing" ~title:"T2b"
+    ~doc:"T2b: random induced-matching packing vs Behrend RS graphs."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "m" ~doc:"RS parameters m." [ 5; 10; 25; 50 ];
+           R.int_param "tries" ~doc:"Packing attempts." 3000;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 5; 10 ]); ("tries", R.Vint 500); ("seed", R.Vint 53) ]
+    ~full:[ ("m", R.Vints [ 5; 10; 25; 50 ]); ("tries", R.Vint 3000); ("seed", R.Vint 53) ]
+    ~smoke:[ ("m", R.Vints [ 4 ]); ("tries", R.Vint 120) ]
+    (fun ps ->
       compute ?jobs:(R.jobs ps) ~ms:(R.ints_value ps "m") ~tries:(R.int_value ps "tries")
-        ~seed:(R.seed ps) ()
-
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 5; 10 ]); ("tries", R.Vint 500); ("seed", R.Vint 53) ]
-
-    let full_overrides =
-      [ ("m", R.Vints [ 5; 10; 25; 50 ]); ("tries", R.Vint 3000); ("seed", R.Vint 53) ]
-
-    let smoke = [ ("m", R.Vints [ 4 ]); ("tries", R.Vint 120) ]
-  end)
+        ~seed:(R.seed ps) ())

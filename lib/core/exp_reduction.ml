@@ -96,30 +96,17 @@ let to_row r =
 
 let preamble = [ ""; "T8. Theorem 2 — the MM-to-MIS reduction on H (two copies + public biclique)" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "reduction"
-    let title = "T8"
-    let doc = "T8: the Section-4 MM-to-MIS reduction, end to end."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "m" ~doc:"RS parameters m." [ 5; 10; 25 ];
-          R.int_param "samples" ~doc:"Samples per m." 10;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
-      compute ~ms:(R.ints_value ps "m") ~samples:(R.int_value ps "samples") ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 5; 10 ]); ("samples", R.Vint 3); ("seed", R.Vint 23) ]
-    let full_overrides = [ ("m", R.Vints [ 5; 10; 25 ]); ("samples", R.Vint 10); ("seed", R.Vint 23) ]
-    let smoke = [ ("m", R.Vints [ 4 ]); ("samples", R.Vint 2) ]
-  end)
+let experiment =
+  R.make ~id:"reduction" ~title:"T8" ~doc:"T8: the Section-4 MM-to-MIS reduction, end to end."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "m" ~doc:"RS parameters m." [ 5; 10; 25 ];
+           R.int_param "samples" ~doc:"Samples per m." 10;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 5; 10 ]); ("samples", R.Vint 3); ("seed", R.Vint 23) ]
+    ~full:[ ("m", R.Vints [ 5; 10; 25 ]); ("samples", R.Vint 10); ("seed", R.Vint 23) ]
+    ~smoke:[ ("m", R.Vints [ 4 ]); ("samples", R.Vint 2) ]
+    (fun ps ->
+      compute ~ms:(R.ints_value ps "m") ~samples:(R.int_value ps "samples") ~seed:(R.seed ps))

@@ -1,14 +1,13 @@
-(* Experiment registry: a first-class-module interface every DESIGN.md §4
-   table implements, plus a global registry with unique-id enforcement.
+(* Experiment values: every DESIGN.md §4 table is one [experiment] record
+   built by [make], and [Exp_all.experiments] lists them all.
 
    An experiment declares its parameter spec once ([params], including the
    uniform [seed]/[jobs] knobs) and the CLI, the `all` runner, the bench
    JSON writer and the tests all derive their behaviour from it — adding a
-   workload is one new [Exp_*] module plus one line in [Exp_all]. *)
+   workload is one [make] value plus one line in [Exp_all.experiments]. *)
 
 module T = Report.Tabular
 
-exception Duplicate_id of string
 exception Unknown_param of string
 exception Wrong_param_type of string
 
@@ -71,34 +70,23 @@ let merge spec overrides =
     spec
 
 (* ------------------------------------------------------------------ *)
-(* The experiment interface                                            *)
+(* Experiments                                                         *)
 
-module type EXPERIMENT = sig
-  type row
+(* GC cost of one experiment body, measured on the calling domain. *)
+type gc_cost = { alloc_bytes : float; minor_collections : int; major_collections : int }
 
-  val id : string  (* CLI subcommand / registry key, e.g. "claim31" *)
-  val title : string  (* short table tag, e.g. "T3" *)
-  val doc : string  (* one-line description (CLI help, `list`) *)
-  val params : param list
-  val schema : T.col list
-  val to_row : row -> T.row
-  val run : params -> row list
-  val preamble : params -> row list -> string list  (* text-format title block *)
-  val footer : row list -> string list  (* text-format trailer *)
-  val fast_overrides : params  (* `all --fast` sizes *)
-  val full_overrides : params  (* `all` sizes *)
-  val smoke : params  (* tiny sizes for the registry test *)
-end
-
-type experiment = (module EXPERIMENT)
-
-let id (module E : EXPERIMENT) = E.id
-let title (module E : EXPERIMENT) = E.title
-let doc (module E : EXPERIMENT) = E.doc
-let params (module E : EXPERIMENT) = E.params
-let schema (module E : EXPERIMENT) = E.schema
-let smoke (module E : EXPERIMENT) = E.smoke
-let overrides_for ~fast (module E : EXPERIMENT) = if fast then E.fast_overrides else E.full_overrides
+(* The typed row lives only inside [measured], which [make] closes over
+   the experiment's [run], [to_row], [preamble] and [footer]. *)
+type experiment = {
+  id : string;  (* CLI subcommand and catalogue key, e.g. "claim31" *)
+  title : string;  (* short table tag, e.g. "T3" *)
+  doc : string;  (* one-line description (CLI help, `list`) *)
+  params : param list;
+  fast : params;  (* `all --fast` sizes *)
+  full : params;  (* `all` sizes *)
+  smoke : params;  (* tiny sizes for the registry test *)
+  measured : params -> T.table * gc_cost;  (* takes merged params *)
+}
 
 (* Trace annotations for one experiment run: every (name, value) of the
    merged parameter list, so a span in the viewer identifies the exact
@@ -112,56 +100,43 @@ let trace_args ps () =
       | Vints l -> (name, Stdx.Trace.Str (String.concat "," (List.map string_of_int l))))
     ps
 
-(* GC cost of one experiment body, measured on the calling domain. *)
-type gc_cost = { alloc_bytes : float; minor_collections : int; major_collections : int }
-
-(* Run an experiment and package the result for any renderer, with the
-   GC cost of the body. The snapshots bracket [E.run] alone — parameter
+(* Run the body and package the result for any renderer, with the GC
+   cost of the body. The snapshots bracket [run] alone — parameter
    merging, row rendering and preamble/footer formatting stay outside the
    window, so the figure is the experiment's own allocation, not the
    harness's. [Gc.allocated_bytes] and the collection counters cover the
    calling domain only: at jobs>1 worker-domain shares are invisible, so
    bench measures at jobs=1 when the absolute number matters. *)
-let measured_table (module E : EXPERIMENT) overrides =
-  let ps = merge E.params overrides in
-  let cost = ref { alloc_bytes = 0.; minor_collections = 0; major_collections = 0 } in
-  let rows =
-    Stdx.Trace.span ~args:(trace_args ps) ("exp." ^ E.id) (fun () ->
-        let s0 = Gc.quick_stat () in
-        let a0 = Gc.allocated_bytes () in
-        let rows = E.run ps in
-        let a1 = Gc.allocated_bytes () in
-        let s1 = Gc.quick_stat () in
-        cost :=
-          {
-            alloc_bytes = a1 -. a0;
-            minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
-            major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
-          };
-        rows)
+let make ~id ~title ~doc ~params ~schema ~to_row ?(preamble = fun _ _ -> [])
+    ?(footer = fun _ -> []) ~fast ~full ~smoke run =
+  let span = "exp." ^ id in
+  let measured ps =
+    let cost = ref { alloc_bytes = 0.; minor_collections = 0; major_collections = 0 } in
+    let rows =
+      Stdx.Trace.span ~args:(trace_args ps) span (fun () ->
+          let s0 = Gc.quick_stat () in
+          let a0 = Gc.allocated_bytes () in
+          let rows = run ps in
+          let a1 = Gc.allocated_bytes () in
+          let s1 = Gc.quick_stat () in
+          cost :=
+            {
+              alloc_bytes = a1 -. a0;
+              minor_collections = s1.Gc.minor_collections - s0.Gc.minor_collections;
+              major_collections = s1.Gc.major_collections - s0.Gc.major_collections;
+            };
+          rows)
+    in
+    ( { T.schema; rows = List.map to_row rows; preamble = preamble ps rows; footer = footer rows },
+      !cost )
   in
-  ( {
-      T.schema = E.schema;
-      rows = List.map E.to_row rows;
-      preamble = E.preamble ps rows;
-      footer = E.footer rows;
-    },
-    !cost )
+  { id; title; doc; params; fast; full; smoke; measured }
 
+let id e = e.id
+let title e = e.title
+let doc e = e.doc
+let params e = e.params
+let smoke e = e.smoke
+let overrides_for ~fast e = if fast then e.fast else e.full
+let measured_table e overrides = e.measured (merge e.params overrides)
 let table e overrides = fst (measured_table e overrides)
-
-(* ------------------------------------------------------------------ *)
-(* The registry                                                        *)
-
-let registered : (string, experiment) Hashtbl.t = Hashtbl.create 32
-let order : string list ref = ref []
-
-let register e =
-  let key = id e in
-  if Hashtbl.mem registered key then raise (Duplicate_id key);
-  Hashtbl.replace registered key e;
-  order := key :: !order
-
-let find key = Hashtbl.find_opt registered key
-let ids () = List.rev !order
-let all () = List.rev_map (fun key -> Hashtbl.find registered key) !order

@@ -1,17 +1,13 @@
-(** The experiment registry: a first-class-module interface every
-    DESIGN.md §4 table implements, plus a global catalogue with
-    unique-id enforcement.
+(** Experiment values: every DESIGN.md §4 table is one {!experiment}
+    built by {!make}; {!Exp_all.experiments} is the catalogue.
 
-    An experiment declares its parameter spec once ({!EXPERIMENT.params},
-    including the uniform [seed]/[jobs] knobs) and the CLI, the [all]
-    runner, the bench JSON writer and the tests all derive their
-    behaviour from it — adding a workload is one new [Exp_*] module plus
-    one line in {!Exp_all}. Rendering goes through {!table}, which runs
+    An experiment declares its parameter spec once (including the
+    uniform [seed]/[jobs] knobs) and the CLI, the [all] runner, the bench
+    JSON writer and the tests all derive their behaviour from it — adding
+    a workload is one {!make} value plus one line in
+    {!Exp_all.experiments}. Rendering goes through {!table}, which runs
     the experiment inside an [exp.<id>] trace span annotated with the
     merged parameters. *)
-
-exception Duplicate_id of string
-(** Raised by {!register} when an experiment id is already taken. *)
 
 exception Unknown_param of string
 (** Raised when an override or lookup names a parameter the spec does
@@ -76,53 +72,41 @@ val merge : param list -> params -> params
     defaults, in spec order. Overriding an undeclared name raises
     {!Unknown_param}. *)
 
-(** {1 The experiment interface} *)
+(** {1 Experiments} *)
 
-(** What a DESIGN.md §4 table implements. [run] produces typed rows;
-    [schema]/[to_row] render them through {!Report.Tabular}; the
-    override sets pin the [all] (full/fast) and test sizes. *)
-module type EXPERIMENT = sig
-  type row
+type experiment
+(** One DESIGN.md §4 table: id, title, doc, parameter spec, the [all] /
+    [all --fast] / smoke override sets, and its body, which produces
+    typed rows rendered through {!Report.Tabular}. *)
 
-  val id : string
-  (** CLI subcommand and registry key, e.g. ["claim31"]. *)
-
-  val title : string
-  (** Short table tag, e.g. ["T3"]. *)
-
-  val doc : string
-  (** One-line description (CLI help, the daemon's [list]). *)
-
-  val params : param list
-  val schema : Report.Tabular.col list
-  val to_row : row -> Report.Tabular.row
-  val run : params -> row list
-
-  val preamble : params -> row list -> string list
-  (** Text-format title block. *)
-
-  val footer : row list -> string list
-  (** Text-format trailer. *)
-
-  val fast_overrides : params
-  (** [all --fast] sizes. *)
-
-  val full_overrides : params
-  (** [all] sizes. *)
-
-  val smoke : params
-  (** Tiny sizes for the registry smoke test. *)
-end
-
-type experiment = (module EXPERIMENT)
-
-(** {2 Accessors} *)
+val make :
+  id:string ->
+  title:string ->
+  doc:string ->
+  params:param list ->
+  schema:Report.Tabular.col list ->
+  to_row:('row -> Report.Tabular.row) ->
+  ?preamble:(params -> 'row list -> string list) ->
+  ?footer:('row list -> string list) ->
+  fast:params ->
+  full:params ->
+  smoke:params ->
+  (params -> 'row list) ->
+  experiment
+(** [make ~id ~title ~doc ~params ~schema ~to_row ~fast ~full ~smoke run]
+    builds an experiment. [id] is the CLI subcommand and catalogue key
+    (e.g. ["claim31"]), [title] the short table tag (e.g. ["T3"]) and
+    [doc] the one-line description (CLI help, the daemon's [list]).
+    [run] receives the merged parameters and produces the rows;
+    [to_row] renders each against [schema]. [preamble] (the text-format
+    title block) and [footer] (the text-format trailer) default to
+    nothing. [fast] and [full] are the [all --fast] and [all] sizes,
+    [smoke] the tiny sizes of the registry test. *)
 
 val id : experiment -> string
 val title : experiment -> string
 val doc : experiment -> string
 val params : experiment -> param list
-val schema : experiment -> Report.Tabular.col list
 val smoke : experiment -> params
 
 val overrides_for : fast:bool -> experiment -> params
@@ -133,8 +117,8 @@ type gc_cost = {
   minor_collections : int;  (** Minor-collection count delta. *)
   major_collections : int;  (** Major-collection cycle delta. *)
 }
-(** GC cost of one experiment body. The snapshots bracket
-    {!EXPERIMENT.run} alone — parameter merging and row/preamble/footer
+(** GC cost of one experiment body. The snapshots bracket the [run]
+    passed to {!make} alone — parameter merging and row/preamble/footer
     rendering stay outside the window — and count the calling domain
     only, so worker-domain shares are invisible at [jobs > 1]. The bench
     harness measures at [jobs = 1] when the absolute figure matters; see
@@ -148,17 +132,4 @@ val table : experiment -> params -> Report.Tabular.table
 val measured_table : experiment -> params -> Report.Tabular.table * gc_cost
 (** Like {!table}, and additionally reports the {!gc_cost} of the
     experiment body — allocation bytes and minor/major collection deltas
-    measured around {!EXPERIMENT.run} only. *)
-
-(** {1 The global catalogue} *)
-
-val register : experiment -> unit
-(** Register under {!id}; raises {!Duplicate_id} on a collision.
-    {!Exp_all} registers the canonical list at module initialisation. *)
-
-val find : string -> experiment option
-val ids : unit -> string list
-(** Registered ids, in registration order. *)
-
-val all : unit -> experiment list
-(** Registered experiments, in registration order. *)
+    measured around its [run] only. *)

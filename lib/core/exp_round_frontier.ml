@@ -95,36 +95,19 @@ let preamble =
     "     (r=1 is the one-round regime of the paper's lower bound)";
   ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "round-frontier"
-    let title = "T16"
-    let doc = "T16: bits-per-round frontier for MIS (prefix r-round vs Luby variants)."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "m" ~doc:"RS parameters m." [ 10; 25 ];
-          R.ints_param "rounds" ~doc:"Prefix-protocol round counts r." [ 1; 2; 3; 4 ];
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"round-frontier" ~title:"T16"
+    ~doc:"T16: bits-per-round frontier for MIS (prefix r-round vs Luby variants)."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "m" ~doc:"RS parameters m." [ 10; 25 ];
+           R.ints_param "rounds" ~doc:"Prefix-protocol round counts r." [ 1; 2; 3; 4 ];
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 10 ]); ("rounds", R.Vints [ 1; 2; 4 ]); ("seed", R.Vint 53) ]
+    ~full:[ ("m", R.Vints [ 10; 25 ]); ("rounds", R.Vints [ 1; 2; 3; 4 ]); ("seed", R.Vint 53) ]
+    ~smoke:[ ("m", R.Vints [ 4 ]); ("rounds", R.Vints [ 1; 2 ]); ("seed", R.Vint 53) ]
+    (fun ps ->
       compute ~ms:(R.ints_value ps "m") ~rounds:(R.ints_value ps "rounds")
-        ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-
-    let fast_overrides =
-      [ ("m", R.Vints [ 10 ]); ("rounds", R.Vints [ 1; 2; 4 ]); ("seed", R.Vint 53) ]
-
-    let full_overrides =
-      [ ("m", R.Vints [ 10; 25 ]); ("rounds", R.Vints [ 1; 2; 3; 4 ]); ("seed", R.Vint 53) ]
-
-    let smoke = [ ("m", R.Vints [ 4 ]); ("rounds", R.Vints [ 1; 2 ]); ("seed", R.Vint 53) ]
-  end)
+        ~seed:(R.seed ps))

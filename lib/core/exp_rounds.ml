@@ -68,21 +68,11 @@ let to_row r =
 let preamble =
   [ ""; "T12. On D_MM: one-round local-minima MIS fails; two rounds solve MM and MIS" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "rounds"
-    let title = "T12"
-    let doc = "T12: one-round MIS failure vs two-round success on D_MM."
-
-    let params = R.std_params [ R.ints_param "m" ~doc:"RS parameters m." [ 10; 25; 50 ] ]
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ~ms:(R.ints_value ps "m") ~seed:(R.seed ps)
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 10 ]); ("seed", R.Vint 47) ]
-    let full_overrides = [ ("m", R.Vints [ 10; 25; 50 ]); ("seed", R.Vint 47) ]
-    let smoke = [ ("m", R.Vints [ 4 ]); ("seed", R.Vint 47) ]
-  end)
+let experiment =
+  R.make ~id:"rounds" ~title:"T12" ~doc:"T12: one-round MIS failure vs two-round success on D_MM."
+    ~params:(R.std_params [ R.ints_param "m" ~doc:"RS parameters m." [ 10; 25; 50 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 10 ]); ("seed", R.Vint 47) ]
+    ~full:[ ("m", R.Vints [ 10; 25; 50 ]); ("seed", R.Vint 47) ]
+    ~smoke:[ ("m", R.Vints [ 4 ]); ("seed", R.Vint 47) ]
+    (fun ps -> compute ~ms:(R.ints_value ps "m") ~seed:(R.seed ps))

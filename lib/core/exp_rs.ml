@@ -44,25 +44,14 @@ let to_row { row; verified } =
 
 let preamble = [ "T1. Proposition 2.1 — (r,t)-RS graphs from Behrend sets (ours: N=5m, t=m)" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "rs-table"
-    let title = "T1"
-    let doc = "T1: Proposition 2.1 RS-graph parameter table (verified)."
-
-    let params =
-      R.std_params
-        ~seed_doc:"Random seed (unused: the construction is deterministic)."
-        [ R.ints_param "m" ~doc:"Construction parameters m." [ 5; 10; 25; 50; 100; 200 ] ]
-
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ?jobs:(R.jobs ps) ~ms:(R.ints_value ps "m") ()
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vints [ 5; 10; 25 ]) ]
-    let full_overrides = [ ("m", R.Vints [ 5; 10; 25; 50; 100; 200 ]) ]
-    let smoke = [ ("m", R.Vints [ 3; 6 ]) ]
-  end)
+let experiment =
+  R.make ~id:"rs-table" ~title:"T1" ~doc:"T1: Proposition 2.1 RS-graph parameter table (verified)."
+    ~params:
+      (R.std_params
+         ~seed_doc:"Random seed (unused: the construction is deterministic)."
+         [ R.ints_param "m" ~doc:"Construction parameters m." [ 5; 10; 25; 50; 100; 200 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("m", R.Vints [ 5; 10; 25 ]) ]
+    ~full:[ ("m", R.Vints [ 5; 10; 25; 50; 100; 200 ]) ]
+    ~smoke:[ ("m", R.Vints [ 3; 6 ]) ]
+    (fun ps -> compute ?jobs:(R.jobs ps) ~ms:(R.ints_value ps "m") ())

@@ -49,34 +49,22 @@ let preamble_of ~m ~samples =
       (Stdx.Parallel.default_jobs ());
   ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "speedup"
-    let title = "P1"
-
-    let doc =
+let experiment =
+  R.make ~id:"speedup" ~title:"P1"
+    ~doc:
       "P1: wall-clock of the deterministic trial engine (claim31) at 1, 2, 4, ... domains, \
        with a bit-identity check against the sequential run."
-
-    let params =
-      R.std_params
-        [
-          R.int_param "m" ~doc:"RS parameter m." 25;
-          R.int_param "samples" ~doc:"Samples." 2000;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+    ~params:
+      (R.std_params
+         [
+           R.int_param "m" ~doc:"RS parameter m." 25;
+           R.int_param "samples" ~doc:"Samples." 2000;
+         ])
+    ~schema ~to_row
+    ~preamble:(fun ps _ -> preamble_of ~m:(R.int_value ps "m") ~samples:(R.int_value ps "samples"))
+    ~fast:[ ("m", R.Vint 10); ("samples", R.Vint 8); ("seed", R.Vint 71) ]
+    ~full:[ ("m", R.Vint 25); ("samples", R.Vint 40); ("seed", R.Vint 71) ]
+    ~smoke:[ ("m", R.Vint 4); ("samples", R.Vint 4); ("jobs", R.Vint 2) ]
+    (fun ps ->
       compute ?jobs:(R.jobs ps) ~m:(R.int_value ps "m") ~samples:(R.int_value ps "samples")
-        ~seed:(R.seed ps) ()
-
-    let preamble ps _ = preamble_of ~m:(R.int_value ps "m") ~samples:(R.int_value ps "samples")
-    let footer _ = []
-    let fast_overrides = [ ("m", R.Vint 10); ("samples", R.Vint 8); ("seed", R.Vint 71) ]
-    let full_overrides = [ ("m", R.Vint 25); ("samples", R.Vint 40); ("seed", R.Vint 71) ]
-    let smoke = [ ("m", R.Vint 4); ("samples", R.Vint 4); ("jobs", R.Vint 2) ]
-  end)
+        ~seed:(R.seed ps) ())

@@ -81,36 +81,19 @@ let preamble =
     "     against the exact blossom optimum";
   ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "stream-matching"
-    let title = "T17"
-    let doc = "T17: multi-pass (1+eps) streaming matching vs the blossom optimum."
-
-    let params =
-      R.std_params
-        [
-          R.ints_param "n" ~doc:"Graph sizes n." [ 48; 96 ];
-          R.ints_param "eps" ~doc:"Epsilon values, in percent." [ 50; 25; 10 ];
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"stream-matching" ~title:"T17"
+    ~doc:"T17: multi-pass (1+eps) streaming matching vs the blossom optimum."
+    ~params:
+      (R.std_params
+         [
+           R.ints_param "n" ~doc:"Graph sizes n." [ 48; 96 ];
+           R.ints_param "eps" ~doc:"Epsilon values, in percent." [ 50; 25; 10 ];
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("n", R.Vints [ 48 ]); ("eps", R.Vints [ 50; 25 ]); ("seed", R.Vint 59) ]
+    ~full:[ ("n", R.Vints [ 48; 96 ]); ("eps", R.Vints [ 50; 25; 10 ]); ("seed", R.Vint 59) ]
+    ~smoke:[ ("n", R.Vints [ 16 ]); ("eps", R.Vints [ 50 ]); ("seed", R.Vint 59) ]
+    (fun ps ->
       compute ~ns:(R.ints_value ps "n") ~eps_pcts:(R.ints_value ps "eps")
-        ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-
-    let fast_overrides =
-      [ ("n", R.Vints [ 48 ]); ("eps", R.Vints [ 50; 25 ]); ("seed", R.Vint 59) ]
-
-    let full_overrides =
-      [ ("n", R.Vints [ 48; 96 ]); ("eps", R.Vints [ 50; 25; 10 ]); ("seed", R.Vint 59) ]
-
-    let smoke = [ ("n", R.Vints [ 16 ]); ("eps", R.Vints [ 50 ]); ("seed", R.Vint 59) ]
-  end)
+        ~seed:(R.seed ps))

@@ -61,21 +61,11 @@ let to_row r =
 let preamble =
   [ ""; "T10. Dynamic streams = linear sketches (insert/delete decoys, bitwise equality)" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "streams"
-    let title = "T10"
-    let doc = "T10: dynamic streams = linear sketches, bit for bit."
-
-    let params = R.std_params [ R.ints_param "n" ~doc:"Graph sizes n." [ 24; 48; 96 ] ]
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ~ns:(R.ints_value ps "n") ~seed:(R.seed ps)
-    let preamble _ _ = preamble
-    let footer _ = []
-    let fast_overrides = [ ("n", R.Vints [ 24 ]); ("seed", R.Vint 41) ]
-    let full_overrides = [ ("n", R.Vints [ 24; 48; 96 ]); ("seed", R.Vint 41) ]
-    let smoke = [ ("n", R.Vints [ 16 ]); ("seed", R.Vint 41) ]
-  end)
+let experiment =
+  R.make ~id:"streams" ~title:"T10" ~doc:"T10: dynamic streams = linear sketches, bit for bit."
+    ~params:(R.std_params [ R.ints_param "n" ~doc:"Graph sizes n." [ 24; 48; 96 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("n", R.Vints [ 24 ]); ("seed", R.Vint 41) ]
+    ~full:[ ("n", R.Vints [ 24; 48; 96 ]); ("seed", R.Vint 41) ]
+    ~smoke:[ ("n", R.Vints [ 16 ]); ("seed", R.Vint 41) ]
+    (fun ps -> compute ~ns:(R.ints_value ps "n") ~seed:(R.seed ps))

@@ -113,23 +113,11 @@ let footer rows =
     ]
   else []
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "upper-bounds"
-    let title = "T6"
-    let doc = "T6: measured sketch sizes of the cited upper bounds."
-
-    let params =
-      R.std_params [ R.ints_param "n" ~doc:"Graph sizes n." [ 64; 128; 256 ] ]
-
-    let schema = schema
-    let to_row = to_row
-    let run ps = compute ~ns:(R.ints_value ps "n") ~seed:(R.seed ps)
-    let preamble _ _ = preamble
-    let footer = footer
-    let fast_overrides = [ ("n", R.Vints [ 64; 128 ]); ("seed", R.Vint 3) ]
-    let full_overrides = [ ("n", R.Vints [ 64; 128; 256 ]); ("seed", R.Vint 3) ]
-    let smoke = [ ("n", R.Vints [ 24; 32 ]); ("seed", R.Vint 3) ]
-  end)
+let experiment =
+  R.make ~id:"upper-bounds" ~title:"T6" ~doc:"T6: measured sketch sizes of the cited upper bounds."
+    ~params:(R.std_params [ R.ints_param "n" ~doc:"Graph sizes n." [ 64; 128; 256 ] ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble) ~footer
+    ~fast:[ ("n", R.Vints [ 64; 128 ]); ("seed", R.Vint 3) ]
+    ~full:[ ("n", R.Vints [ 64; 128; 256 ]); ("seed", R.Vint 3) ]
+    ~smoke:[ ("n", R.Vints [ 24; 32 ]); ("seed", R.Vint 3) ]
+    (fun ps -> compute ~ns:(R.ints_value ps "n") ~seed:(R.seed ps))

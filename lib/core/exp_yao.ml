@@ -56,40 +56,22 @@ let to_row r =
 let preamble =
   [ ""; "T13. The averaging step: best fixed coins >= coin-averaged success (Yao [53])" ]
 
-let experiment : R.experiment =
-  (module struct
-    type nonrec row = row
-
-    let id = "yao"
-    let title = "T13"
-    let doc = "T13: derandomization by averaging on D_MM."
-
-    let params =
-      R.std_params
-        [
-          R.int_param "m" ~doc:"RS parameter m." 10;
-          R.ints_param "budgets" ~doc:"Budgets in bits." [ 16; 32; 48 ];
-          R.int_param "instances" ~doc:"Sampled instances." 20;
-          R.int_param "seeds" ~doc:"Coin seeds evaluated." 8;
-        ]
-
-    let schema = schema
-    let to_row = to_row
-
-    let run ps =
+let experiment =
+  R.make ~id:"yao" ~title:"T13" ~doc:"T13: derandomization by averaging on D_MM."
+    ~params:
+      (R.std_params
+         [
+           R.int_param "m" ~doc:"RS parameter m." 10;
+           R.ints_param "budgets" ~doc:"Budgets in bits." [ 16; 32; 48 ];
+           R.int_param "instances" ~doc:"Sampled instances." 20;
+           R.int_param "seeds" ~doc:"Coin seeds evaluated." 8;
+         ])
+    ~schema ~to_row ~preamble:(fun _ _ -> preamble)
+    ~fast:[ ("instances", R.Vint 8); ("seeds", R.Vint 4); ("seed", R.Vint 61) ]
+    ~full:[ ("instances", R.Vint 20); ("seeds", R.Vint 8); ("seed", R.Vint 61) ]
+    ~smoke:
+      [ ("m", R.Vint 4); ("budgets", R.Vints [ 16 ]); ("instances", R.Vint 2); ("seeds", R.Vint 2) ]
+    (fun ps ->
       compute ~m:(R.int_value ps "m") ~budgets:(R.ints_value ps "budgets")
         ~instances:(R.int_value ps "instances") ~seeds:(R.int_value ps "seeds")
-        ~seed:(R.seed ps)
-
-    let preamble _ _ = preamble
-    let footer _ = []
-
-    let fast_overrides =
-      [ ("instances", R.Vint 8); ("seeds", R.Vint 4); ("seed", R.Vint 61) ]
-
-    let full_overrides =
-      [ ("instances", R.Vint 20); ("seeds", R.Vint 8); ("seed", R.Vint 61) ]
-
-    let smoke =
-      [ ("m", R.Vint 4); ("budgets", R.Vints [ 16 ]); ("instances", R.Vint 2); ("seeds", R.Vint 2) ]
-  end)
+        ~seed:(R.seed ps))

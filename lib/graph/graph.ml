@@ -207,20 +207,6 @@ let union a b =
   done;
   of_keys a.n keys (a.m + b.m)
 
-let union_all n gs =
-  let total = List.fold_left (fun acc g -> acc + g.m) 0 gs in
-  let keys = Array.make (max total 1) 0 in
-  let i = ref 0 in
-  List.iter
-    (fun g ->
-      for e = 0 to g.m - 1 do
-        if g.eu.(e) >= n || g.ev.(e) >= n then invalid_arg "Graph.union_all: vertex out of range";
-        keys.(!i) <- (g.eu.(e) * n) + g.ev.(e);
-        incr i
-      done)
-    gs;
-  of_keys n keys total
-
 let relabel g sigma =
   if Array.length sigma <> g.n then invalid_arg "Graph.relabel: bad permutation length";
   let seen = Array.make g.n false in
@@ -274,8 +260,3 @@ let disjoint_union a b =
   { n; m = a.m + b.m; row_start; col; eu; ev }
 
 let equal a b = a.n = b.n && a.eu = b.eu && a.ev = b.ev
-
-let pp ppf g =
-  Format.fprintf ppf "@[<v>graph n=%d m=%d@," g.n g.m;
-  iter_edges (fun u v -> Format.fprintf ppf "%d -- %d@," u v) g;
-  Format.fprintf ppf "@]"

@@ -122,9 +122,6 @@ val fold_edges : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val union : t -> t -> t
 (** Union of edge sets; both graphs must have the same vertex count. *)
 
-val union_all : int -> t list -> t
-(** [union_all n gs] unions every edge set over vertex set [\[0, n)]. *)
-
 val relabel : t -> int array -> t
 (** [relabel g sigma] renames vertex [v] to [sigma.(v)]; [sigma] must be a
     permutation of [\[0, n)]. *)
@@ -139,6 +136,3 @@ val disjoint_union : t -> t -> t
 
 val equal : t -> t -> bool
 (** Same vertex count and same edge set. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: vertex count plus the edge list. *)

@@ -164,13 +164,6 @@ let iter_pins f h e =
     f h.pin_val.(idx)
   done
 
-let fold_pins f h e init =
-  let acc = ref init in
-  for idx = h.pin_row.(e) to h.pin_row.(e + 1) - 1 do
-    acc := f h.pin_val.(idx) !acc
-  done;
-  !acc
-
 let for_all_pins p h e =
   let rec go idx = idx >= h.pin_row.(e + 1) || (p h.pin_val.(idx) && go (idx + 1)) in
   go h.pin_row.(e)
@@ -237,15 +230,3 @@ let find_edge h pins_raw =
 let mem_edge h pins = find_edge h pins <> None
 
 let equal a b = a.n = b.n && a.pin_row = b.pin_row && a.pin_val = b.pin_val
-
-let pp ppf h =
-  Format.fprintf ppf "@[<v>hypergraph n=%d m=%d@," h.n h.m;
-  for e = 0 to h.m - 1 do
-    Format.fprintf ppf "{";
-    for j = 0 to arity h e - 1 do
-      if j > 0 then Format.fprintf ppf ", ";
-      Format.fprintf ppf "%d" (pin h e j)
-    done;
-    Format.fprintf ppf "}@,"
-  done;
-  Format.fprintf ppf "@]"

@@ -71,7 +71,7 @@ val max_arity : t -> int
 
 val pins : t -> int -> int array
 (** Sorted pins of a hyperedge, as a fresh owned copy. Iterate with
-    {!iter_pins} / {!fold_pins} (or index with {!pin}) instead when the
+    {!iter_pins} (or index with {!pin}) instead when the
     copy is not needed. *)
 
 val pin : t -> int -> int -> int
@@ -81,9 +81,6 @@ val pin : t -> int -> int -> int
 val iter_pins : (int -> unit) -> t -> int -> unit
 (** Apply a function to each pin of a hyperedge in sorted order, without
     allocating. *)
-
-val fold_pins : (int -> 'a -> 'a) -> t -> int -> 'a -> 'a
-(** Fold over the sorted pins, without allocating. *)
 
 val for_all_pins : (int -> bool) -> t -> int -> bool
 (** Short-circuiting for-all over the pins of a hyperedge. *)
@@ -121,6 +118,3 @@ val mem_edge : t -> int array -> bool
 
 val equal : t -> t -> bool
 (** Same vertex count and same hyperedge set. *)
-
-val pp : Format.formatter -> t -> unit
-(** Debug printer: vertex count plus the pin sets. *)

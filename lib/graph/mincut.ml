@@ -55,7 +55,5 @@ let min_cut g =
     !best
   end
 
-let edge_connectivity = min_cut
-
 let is_k_edge_connected g k =
   if k <= 0 then Graph.n g > 0 else Graph.n g >= 2 && min_cut g >= k

@@ -10,10 +10,6 @@ val min_cut : Graph.t -> int
     [0] for disconnected graphs and [max_int] for graphs with fewer than
     two vertices. Runs in [O(n^3)]. *)
 
-val edge_connectivity : Graph.t -> int
-(** Alias of {!min_cut} for connected graphs: the minimum number of edges
-    whose removal disconnects the graph. *)
-
 val is_k_edge_connected : Graph.t -> int -> bool
 (** [is_k_edge_connected g k]: the graph is connected and every cut has at
     least [k] edges. [k <= 0] is always true for non-empty graphs. *)

@@ -53,7 +53,7 @@ type t = {
   retries : int Atomic.t;  (* backends retried past a shed response *)
   shed_relayed : int Atomic.t;  (* requests where every backend shed *)
   shed_backoff_ms : int;
-  log : string -> unit;
+  log : (string -> unit) option;  (* [None]: no log line is formatted *)
   mutable daemon : Daemon.t option;
   mutable pinger : Health.pinger option;
 }
@@ -68,7 +68,7 @@ let parse_addr addr =
       | _ -> invalid_arg (Printf.sprintf "Proxy: bad backend port in %S" addr))
   | _ -> invalid_arg (Printf.sprintf "Proxy: backend %S is not HOST:PORT" addr)
 
-let create ?(vnodes = 128) ?(shed_backoff_ms = 5) ?(log = fun _ -> ()) ~backends () =
+let create ?(vnodes = 128) ?(shed_backoff_ms = 5) ?log ~backends () =
   let addrs = List.map (fun a -> (a, parse_addr a)) backends in
   {
     ring = Ring.create ~vnodes backends;
@@ -223,7 +223,9 @@ let forward t ~key payload ~cancelled =
                  the request moves on after a brief backoff so a burst
                  does not hammer every replica in a tight loop. *)
               Atomic.incr t.retries;
-              t.log (Printf.sprintf "backend %s shed; retrying next replica" addr);
+              (match t.log with
+              | Some log -> log (Printf.sprintf "backend %s shed; retrying next replica" addr)
+              | None -> ());
               if rest <> [] && t.shed_backoff_ms > 0 then
                 Thread.delay (float_of_int t.shed_backoff_ms /. 1000.);
               go rest (Some response)
@@ -236,7 +238,9 @@ let forward t ~key payload ~cancelled =
               Atomic.incr t.failovers;
               Stdx.Trace.instant "proxy.failover"
                 ~args:[ ("backend", Stdx.Trace.Str addr) ];
-              t.log (Printf.sprintf "backend %s failed (%s); failing over" addr msg);
+              (match t.log with
+              | Some log -> log (Printf.sprintf "backend %s failed (%s); failing over" addr msg)
+              | None -> ());
               go rest last_shed
         end
   in
@@ -351,7 +355,10 @@ let render_stats ~version ~uptime_s ~(m : Metrics.snapshot) ~forwarded ~failover
         obj
           (sum [ "requests" ] [ "total"; "errors" ]
           @ [ ("by_op", obj (sum [ "requests"; "by_op" ] by_op)) ]) );
-      ("cache", obj (sum [ "cache" ] [ "hits"; "misses"; "entries"; "bytes"; "evictions" ]));
+      ( "cache",
+        obj
+          (sum [ "cache" ] [ "hits"; "misses"; "entries"; "bytes"; "evictions"; "invalidations" ])
+      );
       ( "queue",
         obj
           (sum [ "queue" ]
@@ -396,7 +403,7 @@ let handle_stats t =
 let handle t ?(cancelled = fun () -> false) payload =
   Scheduler.await
   @@ fun k ->
-  Service.serve t.metrics ~log:t.log ~span:"proxy." payload ~k ~route:(fun op j finish ->
+  Service.serve t.metrics ?log:t.log ~span:"proxy." payload ~k ~route:(fun op j finish ->
       match op with
       | "ping" -> finish op (handle_ping t)
       | "cluster" -> finish op (handle_cluster t)

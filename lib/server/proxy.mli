@@ -33,8 +33,10 @@ val create :
 (** A socket-free proxy over [backends] (each ["HOST:PORT"]) — drive it
     with {!handle} for in-process tests. [vnodes] (default 128) is ring
     points per backend; [shed_backoff_ms] (default 5) is the pause before
-    retrying past a shed response. Raises [Invalid_argument] on a
-    malformed address, an empty or duplicate-bearing backend list.
+    retrying past a shed response. [log] receives one line per request
+    and per shed or failover; without it no line is formatted. Raises
+    [Invalid_argument] on a malformed address, an empty or
+    duplicate-bearing backend list.
     Backends need not be reachable yet: health starts optimistic and
     adjusts on first contact. *)
 

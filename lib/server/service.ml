@@ -24,12 +24,11 @@ type t = {
   cache : Cache.t;
   scheduler : Scheduler.t;
   metrics : Metrics.t;
-  log : string -> unit;
+  log : (string -> unit) option;  (* [None]: no log line is formatted *)
   mutable draining : bool;  (* set once `shutdown` has been accepted *)
 }
 
-let create ?(workers = 2) ?(capacity = 16) ?cache_entries ?cache_bytes
-    ?(log = fun _ -> ()) () =
+let create ?(workers = 2) ?(capacity = 16) ?cache_entries ?cache_bytes ?log () =
   {
     cache = Cache.create ?max_entries:cache_entries ?max_bytes:cache_bytes ();
     scheduler = Scheduler.create ~workers ~capacity ();
@@ -193,7 +192,7 @@ let handle_list _t =
     [
       ("op", jstr "list");
       ("version", jstr Stdx.Version.current);
-      ("experiments", arr (List.map exp_json (Core.Exp_all.all ())));
+      ("experiments", arr (List.map exp_json Core.Exp_all.experiments));
       ("protocols", arr (List.map protocol_json Simulate.catalogue));
     ]
 
@@ -441,7 +440,7 @@ let handle_compute t ~cancelled j request ~k =
   | Error response -> k response
   | Ok c -> (
       let k hit payload =
-        t.log (c.note hit);
+        (match t.log with Some log -> log (c.note hit) | None -> ());
         k payload
       in
       match Cache.find t.cache c.key with
@@ -474,7 +473,7 @@ type reply = { payload : string; shutdown : bool }
    the response (the caller for cheap ops and cache hits, a worker domain
    for computed misses), so the "<span><op>" span and the recorded
    latency cover queueing + compute. *)
-let serve metrics ~log ~span payload ~route ~k =
+let serve metrics ?log ~span payload ~route ~k =
   let t0 = Unix.gettimeofday () in
   let finish op response =
     let t1 = Unix.gettimeofday () in
@@ -486,7 +485,10 @@ let serve metrics ~log ~span payload ~route ~k =
     if Stdx.Trace.enabled () then
       Stdx.Trace.complete ~args:[ ("ok", Stdx.Trace.Bool ok) ] ~t0 ~t1 (span ^ op);
     Metrics.record metrics ~op ~ok ~ms;
-    log (Printf.sprintf "op=%s status=%s ms=%.2f" op (if ok then "ok" else "error") ms);
+    (match log with
+    | Some log ->
+        log (Printf.sprintf "op=%s status=%s ms=%.2f" op (if ok then "ok" else "error") ms)
+    | None -> ());
     (* Both fronts accept every `shutdown` they route. *)
     k { payload = response; shutdown = String.equal op "shutdown" }
   in
@@ -498,7 +500,7 @@ let serve metrics ~log ~span payload ~route ~k =
       | Some op -> route op j finish)
 
 let handle_async t ?(cancelled = fun () -> false) payload ~k =
-  serve t.metrics ~log:t.log ~span:"rpc." payload ~k ~route:(fun op j finish ->
+  serve t.metrics ?log:t.log ~span:"rpc." payload ~k ~route:(fun op j finish ->
       match op with
       | "ping" -> finish op (handle_ping t)
       | "list" -> finish op (handle_list t)

@@ -37,7 +37,7 @@ val create :
   t
 (** Defaults: 2 worker domains, queue capacity 16, cache 512 entries /
     64 MiB, no logging. [log] receives one structured line per request
-    (and per cache decision). *)
+    (and per cache decision); without it no line is formatted. *)
 
 val cache : t -> Cache.t
 (** The result cache — exposed for tests and stats. *)
@@ -117,17 +117,17 @@ val metrics_blocks : Metrics.snapshot -> (string * string) * (string * string)
 
 val serve :
   Metrics.t ->
-  log:(string -> unit) ->
+  ?log:(string -> unit) ->
   span:string ->
   string ->
   route:(string -> Report.Tabular.json -> (string -> string -> unit) -> unit) ->
   k:(reply -> unit) ->
   unit
-(** [serve metrics ~log ~span payload ~route ~k] parses [payload] and
+(** [serve metrics ?log ~span payload ~route ~k] parses [payload] and
     answers an unparseable request (op [parse-error]) or one without a
     string [op] (op [bad-op]) itself; anything else goes to
     [route op json finish]. [finish op' response] closes the request out
     exactly once: a [span ^ op'] trace span ([rpc.] for sketchd, [proxy.]
     for sketchproxy), one {!Metrics.record}, one [op=… status=… ms=…] log
-    line, then [k]. A reply finished under op ["shutdown"] carries
-    [shutdown = true]. *)
+    line (formatted only when [log] is given), then [k]. A reply finished
+    under op ["shutdown"] carries [shutdown = true]. *)

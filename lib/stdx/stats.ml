@@ -48,12 +48,6 @@ let summarize xs =
       p90 = quantile xs 0.9;
     }
 
-let of_ints xs = Array.map float_of_int xs
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.3f sd=%.3f min=%.3f p50=%.3f p90=%.3f max=%.3f" s.count
-    s.mean s.stddev s.min s.p50 s.p90 s.max
-
 let wilson_interval ~successes ~trials ~z =
   if trials = 0 then (0., 1.)
   else begin

@@ -30,12 +30,6 @@ val quantile : float array -> float -> float
 val summarize : float array -> summary
 (** All of the above in one pass (plus a sort for the percentiles). *)
 
-val of_ints : int array -> float array
-(** Element-wise [float_of_int] — adapter for integer-valued trials. *)
-
-val pp_summary : Format.formatter -> summary -> unit
-(** Renders a {!summary} as one human-readable line. *)
-
 val wilson_interval : successes:int -> trials:int -> z:float -> float * float
 (** Wilson score confidence interval for a binomial proportion. *)
 

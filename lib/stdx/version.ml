@@ -4,5 +4,3 @@
    the build they are talking to. *)
 
 let current = "1.8.0"
-
-let describe () = Printf.sprintf "sketchlb %s (ocaml %s)" current Sys.ocaml_version

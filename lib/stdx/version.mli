@@ -6,7 +6,3 @@
 
 val current : string
 (** The semantic version of this build, e.g. ["1.6.0"]. *)
-
-val describe : unit -> string
-(** Human-readable one-liner: version plus the OCaml compiler it was built
-    with. *)

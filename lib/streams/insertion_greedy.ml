@@ -58,8 +58,6 @@ let mis_feed state ~vertex ~earlier_neighbors =
 
 let mis_result state = List.rev state.members
 
-let mis_state_bits state = 2 * state.mis_n
-
 let mis_of_graph g ~order =
   let state = mis_create (Graph.n g) in
   let position = Array.make (Graph.n g) max_int in

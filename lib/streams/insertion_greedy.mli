@@ -34,7 +34,6 @@ val mis_feed : mis_state -> vertex:int -> earlier_neighbors:int list -> unit
 (** Vertex-arrival: the vertex and its edges to already-arrived vertices. *)
 
 val mis_result : mis_state -> Dgraph.Mis.t
-val mis_state_bits : mis_state -> int
 
 val mis_of_graph : Dgraph.Graph.t -> order:int array -> Dgraph.Mis.t
 (** Replays a vertex-arrival stream in the given order; the result is

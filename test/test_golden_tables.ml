@@ -78,7 +78,7 @@ let test_coverage () =
       let id = R.id e in
       if id <> "speedup" then
         Alcotest.(check bool) (id ^ " has a golden capture") true (List.mem id covered))
-    (Core.Exp_all.all ())
+    Core.Exp_all.experiments
 
 let () =
   Alcotest.run "golden-tables"

@@ -291,6 +291,35 @@ let test_stats_aggregation_live () =
     "cache misses across cluster" true
     (int_at [ "cache"; "misses" ] >= 10)
 
+(* A [cache invalidate] sent straight to one backend shows up in the
+   proxy's summed [cache] block. *)
+let test_stats_sum_invalidations () =
+  let a = Server.Daemon.start ~workers:1 ~capacity:8 () in
+  let b = Server.Daemon.start ~workers:1 ~capacity:8 () in
+  Fun.protect ~finally:(fun () ->
+      List.iter
+        (fun d ->
+          Server.Daemon.stop ~abort_connections:true d;
+          Server.Daemon.wait d)
+        [ a; b ])
+  @@ fun () ->
+  let p = Proxy.create ~backends:[ addr_of a; addr_of b ] () in
+  Fun.protect ~finally:(fun () -> Proxy.close p) @@ fun () ->
+  let seed = seed_routed_to (Proxy.ring p) (addr_of a) in
+  Alcotest.(check bool)
+    "simulate ok" true
+    (is_ok (Proxy.handle p (sim_payload seed)).Server.Service.payload);
+  let invalidated =
+    Server.Client.with_connection ~port:(Server.Daemon.port a) (fun c ->
+        Server.Client.request c "{\"op\":\"cache\",\"action\":\"invalidate\",\"prefix\":\"\"}")
+    |> T.json_of_string |> T.member "invalidated"
+  in
+  Alcotest.(check bool) "backend dropped the entry" true (invalidated = Some (T.Jint 1));
+  let stats = T.json_of_string (Proxy.handle p "{\"op\":\"stats\"}").Server.Service.payload in
+  Alcotest.(check bool)
+    "proxy sums invalidations" true
+    (Option.bind (T.member "cache" stats) (T.member "invalidations") = Some (T.Jint 1))
+
 (* --------------------------------------------------------------- *)
 (* Golden: aggregated cluster stats schema                          *)
 
@@ -316,7 +345,7 @@ let test_golden_cluster_stats () =
   let backend_stats uptime total =
     T.json_of_string
       (Printf.sprintf
-         "{\"ok\":true,\"op\":\"stats\",\"version\":\"VERSION\",\"uptime_s\":%s,\"requests\":{\"total\":%d,\"errors\":1,\"by_op\":{\"ping\":4,\"run\":%d}},\"cache\":{\"hits\":7,\"misses\":5,\"entries\":5,\"bytes\":2048,\"evictions\":0},\"queue\":{\"depth\":0,\"capacity\":16,\"workers\":2,\"shed\":1,\"deadline_drops\":0,\"cancelled_drops\":0},\"latency_ms\":{\"count\":%d,\"p50\":0.25,\"p90\":1.5,\"p99\":2.5,\"max\":3.5}}"
+         "{\"ok\":true,\"op\":\"stats\",\"version\":\"VERSION\",\"uptime_s\":%s,\"requests\":{\"total\":%d,\"errors\":1,\"by_op\":{\"ping\":4,\"run\":%d}},\"cache\":{\"hits\":7,\"misses\":5,\"entries\":5,\"bytes\":2048,\"evictions\":0,\"invalidations\":1},\"queue\":{\"depth\":0,\"capacity\":16,\"workers\":2,\"shed\":1,\"deadline_drops\":0,\"cancelled_drops\":0},\"latency_ms\":{\"count\":%d,\"p50\":0.25,\"p90\":1.5,\"p99\":2.5,\"max\":3.5}}"
          (T.float_repr uptime) total (total - 4) total)
   in
   let got =
@@ -359,6 +388,8 @@ let () =
             test_failover_byte_identical;
           Alcotest.test_case "aggregated stats over live backends" `Quick
             test_stats_aggregation_live;
+          Alcotest.test_case "stats sums backend cache invalidations" `Quick
+            test_stats_sum_invalidations;
           Alcotest.test_case "golden cluster stats schema" `Quick test_golden_cluster_stats;
         ] );
     ]

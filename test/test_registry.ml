@@ -1,21 +1,17 @@
-(* Tests for the experiment registry: the catalogue is complete and
-   unique, parameter merging rejects typos, and every registered
-   experiment runs at its smoke sizes into a table that type-checks
-   against its schema and survives the JSON round-trip. *)
+(* Tests for the experiment catalogue: ids are unique and resolve,
+   parameter merging rejects typos, and every experiment runs at its
+   smoke sizes into a table that type-checks against its schema and
+   survives the JSON round-trip. *)
 
 module R = Core.Exp_registry
 module T = Report.Tabular
 
 let checkb = Alcotest.(check bool)
-let checki = Alcotest.(check int)
 
 let test_catalogue () =
-  let exps = Core.Exp_all.all () in
-  let ids = R.ids () in
-  checki "registry holds every Exp_all experiment" (List.length Core.Exp_all.experiments)
-    (List.length exps);
+  let exps = Core.Exp_all.experiments in
+  let ids = List.map R.id exps in
   checkb "ids are unique" true (List.length (List.sort_uniq compare ids) = List.length ids);
-  checkb "ids match registration order" true (List.map R.id exps = ids);
   List.iter
     (fun e ->
       match Core.Exp_all.find (R.id e) with
@@ -23,11 +19,6 @@ let test_catalogue () =
       | None -> Alcotest.failf "find %S returned None" (R.id e))
     exps;
   checkb "unknown id is None" true (Core.Exp_all.find "no-such-experiment" = None)
-
-let test_duplicate_id () =
-  let e = List.hd Core.Exp_all.experiments in
-  checkb "re-registering raises Duplicate_id" true
-    (match R.register e with () -> false | exception R.Duplicate_id _ -> true)
 
 let test_param_merge () =
   let e = List.hd Core.Exp_all.experiments in
@@ -41,7 +32,7 @@ let test_param_merge () =
       let names = List.map (fun (p : R.param) -> p.R.name) (R.params e) in
       checkb (R.id e ^ " has seed param") true (List.mem "seed" names);
       checkb (R.id e ^ " has jobs param") true (List.mem "jobs" names))
-    (Core.Exp_all.all ())
+    Core.Exp_all.experiments
 
 (* Run each experiment at its tiny smoke parameters (pinned to one worker
    domain) and check the table against its schema. *)
@@ -53,7 +44,7 @@ let test_smoke_tables () =
       let tbl = smoke_table e in
       T.validate tbl;
       checkb (R.id e ^ " produces rows at smoke sizes") true (tbl.T.rows <> []))
-    (Core.Exp_all.all ())
+    Core.Exp_all.experiments
 
 let test_json_round_trip () =
   (* Render every smoke row as tagged JSON, parse it back, map it onto the
@@ -72,7 +63,7 @@ let test_json_round_trip () =
               true
               (T.row_of_json tbl.T.schema (T.json_of_string line) = row))
         tbl.T.rows)
-    (Core.Exp_all.all ())
+    Core.Exp_all.experiments
 
 let () =
   Alcotest.run "registry"
@@ -80,7 +71,6 @@ let () =
       ( "catalogue",
         [
           Alcotest.test_case "complete and unique" `Quick test_catalogue;
-          Alcotest.test_case "duplicate id rejected" `Quick test_duplicate_id;
           Alcotest.test_case "param merge" `Quick test_param_merge;
         ] );
       ( "experiments",

@@ -198,7 +198,7 @@ let test_service_list () =
       in
       checkb "catalogue has claim31" true (List.mem "claim31" ids);
       checkb "catalogue matches registry" true
-        (List.length ids = List.length (Core.Exp_all.all ()));
+        (List.length ids = List.length Core.Exp_all.experiments);
       match T.member "protocols" j with
       | Some (T.Jarr ps) ->
           Alcotest.(check (list string))
@@ -208,6 +208,26 @@ let test_service_list () =
                (fun p -> match T.member "name" p with Some (T.Jstr s) -> Some s | _ -> None)
                ps)
       | _ -> Alcotest.fail "no protocols field")
+
+(* The whole [list] reply — experiment ids, titles, docs, parameters
+   and defaults, then the protocol catalogue, in order — pinned byte for
+   byte, with the version as a placeholder. *)
+let test_service_list_golden () =
+  with_service (fun t ->
+      let reply = payload t [ ("op", T.Jstr "list") ] in
+      let head v = "{\"ok\":true,\"op\":\"list\",\"version\":\"" ^ v ^ "\"" in
+      let live = head Stdx.Version.current in
+      checkb "reply opens with the version" true (String.starts_with ~prefix:live reply);
+      let got =
+        head "VERSION"
+        ^ String.sub reply (String.length live) (String.length reply - String.length live)
+        ^ "\n"
+      in
+      let expected =
+        In_channel.with_open_bin (Filename.concat "golden" "list_reply.txt") In_channel.input_all
+      in
+      if got <> expected then
+        Alcotest.failf "list reply drifted\n--- golden ---\n%s--- got ---\n%s" expected got)
 
 let test_service_errors () =
   with_service (fun t ->
@@ -688,6 +708,7 @@ let () =
         [
           Alcotest.test_case "ping version" `Quick test_service_ping_version;
           Alcotest.test_case "list catalogue" `Quick test_service_list;
+          Alcotest.test_case "list golden" `Quick test_service_list_golden;
           Alcotest.test_case "error taxonomy" `Quick test_service_errors;
           Alcotest.test_case "cache determinism" `Quick test_service_cache_determinism;
           Alcotest.test_case "seed precedence" `Quick test_service_seed_precedence;
